@@ -4,7 +4,7 @@ The toolkit answers three kinds of questions about the order-4m group
 Q_{4m} = <x, y | x^(2m) = 1, x^m = y^2, y^-1 x y = x^-1>:
 
 * exact spectra of Cayley graphs X(S) via character sums, cross-checked by a
-  brute-force Jacobi eigensolver on the explicit adjacency matrix;
+  dense LAPACK eigensolve of the explicit adjacency matrix;
 * how many group elements can be dropped from the complete-graph generating
   set while every graph in the family stays Ramanujan (the safe-covalency
   bounds), both by exhaustive enumeration at small m and in closed form;

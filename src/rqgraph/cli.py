@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", help="full spectrum and Ramanujan verdict of one Cayley subset")
     sp.add_argument("--subset", required=True, help="literal: m=<int>;pairs=<list>;delta=<0|1>;ypairs=<list>")
-    sp.add_argument("--oracle", action="store_true", help="cross-check against the dense Jacobi eigensolver")
+    sp.add_argument("--oracle", action="store_true", help="cross-check against the dense eigensolver")
     sp.add_argument("--json", action="store_true", default=True)
     sp.add_argument("--csv", action="store_true", help="emit value,multiplicity CSV instead of JSON")
     sp.set_defaults(func=cmd_spectrum)

@@ -1,12 +1,14 @@
-"""Brute-force spectrum oracle: explicit adjacency matrix + Jacobi eigensolver.
+"""Brute-force spectrum oracle: explicit adjacency matrix + LAPACK eigensolver.
 
 This route never touches the character formulas, so it serves as independent
-ground truth for them.  The eigensolver is a hand-rolled cyclic Jacobi
-iteration (vectorized over a batch of matrices for throughput); it is exact
-enough and dependency-free by design.
+ground truth for them.  The adjacency matrix is read off a Cayley table built
+by `group.multiply`, so the group law keeps a single definition; eigenvalues
+come from `numpy.linalg.eigvalsh` (LAPACK), batched over a stack of matrices.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -15,8 +17,26 @@ from .subsets import CayleySubset
 from .spectra import full_spectrum
 
 MAX_ORACLE_ORDER = 4096
-MAX_SWEEPS = 100
-OFFDIAG_REL_TOL = 1e-12
+
+
+def _index(g: GroupElement, m: int) -> int:
+    """Position of g in `all_elements(m)`."""
+    return g.e * 2 * m + g.k
+
+
+@lru_cache(maxsize=1)
+def _cayley_table(m: int) -> np.ndarray:
+    """Read-only table[i, j] = index of g_i * g_j, over `all_elements(m)`.
+
+    int16 holds every index below MAX_ORACLE_ORDER and keeps the largest
+    table at 32 MB.  Only the latest m is cached: callers work one m at a time.
+    """
+    elems = all_elements(m)
+    table = np.empty((len(elems), len(elems)), dtype=np.int16)
+    for i, g in enumerate(elems):
+        table[i] = [_index(multiply(g, h, m), m) for h in elems]
+    table.flags.writeable = False
+    return table
 
 
 def adjacency_matrix(subset: CayleySubset) -> np.ndarray:
@@ -25,22 +45,14 @@ def adjacency_matrix(subset: CayleySubset) -> np.ndarray:
     order = 4 * m
     if order > MAX_ORACLE_ORDER:
         raise ValueError(f"oracle capped at {MAX_ORACLE_ORDER} vertices, got 4m={order}")
-    n = 2 * m
-
-    def idx(g: GroupElement) -> int:
-        return g.e * n + g.k
-
-    gens = sorted(subset.elements())
+    gens = [_index(s, m) for s in subset.elements()]
     a = np.zeros((order, order), dtype=np.float64)
-    for g in all_elements(m):
-        i = idx(g)
-        for s in gens:
-            a[i, idx(multiply(g, s, m))] = 1.0
+    a[np.arange(order)[:, None], _cayley_table(m)[:, gens]] = 1.0
     return a
 
 
 def symmetric_eigenvalues(a: np.ndarray) -> list[float]:
-    """All eigenvalues of a symmetric matrix, descending, via cyclic Jacobi."""
+    """All eigenvalues of a symmetric matrix, descending."""
     vals = symmetric_eigenvalues_batch(np.asarray(a, dtype=np.float64)[None, :, :])
     return [float(v) for v in vals[0]]
 
@@ -48,62 +60,19 @@ def symmetric_eigenvalues(a: np.ndarray) -> list[float]:
 def symmetric_eigenvalues_batch(batch: np.ndarray) -> np.ndarray:
     """Eigenvalues of a stack of same-size symmetric matrices, each descending.
 
-    One cyclic sweep rotates every (p, q) pair once; sweeps repeat until every
-    matrix in the batch has off-diagonal Frobenius norm below 1e-12 times its
-    full Frobenius norm.  Symmetric Jacobi always converges; exceeding the
-    sweep cap therefore signals a bug and raises.
+    The solver reads one triangle only, so an asymmetric input would give
+    silently wrong eigenvalues; it is rejected instead.
     """
-    a = np.array(batch, dtype=np.float64)
+    a = np.asarray(batch, dtype=np.float64)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"expected a (batch, n, n) stack, got shape {a.shape}")
-    if not np.allclose(a, np.swapaxes(a, 1, 2), atol=0.0):
+    if not np.array_equal(a, np.swapaxes(a, 1, 2)):
         raise ValueError("matrices must be exactly symmetric")
-    n = a.shape[1]
-    if n == 1:
-        return a[:, :, 0].copy()
-
-    # Frobenius norm is rotation-invariant, so the target is fixed up front.
-    norm = np.sqrt((a * a).sum(axis=(1, 2)))
-    target = OFFDIAG_REL_TOL * np.maximum(norm, np.finfo(np.float64).tiny)
-
-    # Off-diagonal norm is summed directly over off-diagonal entries;
-    # total minus diagonal would cancel catastrophically near convergence.
-    offdiag_mask = ~np.eye(n, dtype=bool)
-    for _ in range(MAX_SWEEPS):
-        off = np.sqrt((a[:, offdiag_mask] ** 2).sum(axis=1))
-        if np.all(off <= target):
-            return np.sort(np.diagonal(a, axis1=1, axis2=2), axis=1)[:, ::-1].copy()
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[:, p, q]
-                active = apq != 0.0
-                if not active.any():
-                    continue
-                # Standard symmetric Schur rotation annihilating a_pq.
-                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                    tau = (a[:, q, q] - a[:, p, p]) / (2.0 * apq)
-                    t = np.sign(tau) / (np.abs(tau) + np.sqrt(tau * tau + 1.0))
-                    t = np.where(tau == 0.0, 1.0, t)       # equal diagonal: rotate 45 degrees
-                    t = np.where(np.isfinite(t), t, 0.0)   # tau overflow: angle ~ 0
-                t = np.where(active, t, 0.0)
-                c = (1.0 / np.sqrt(t * t + 1.0))[:, None]
-                s = t[:, None] * c
-                rp = a[:, p, :].copy()
-                rq = a[:, q, :].copy()
-                a[:, p, :] = c * rp - s * rq
-                a[:, q, :] = s * rp + c * rq
-                cp = a[:, :, p].copy()
-                cq = a[:, :, q].copy()
-                a[:, :, p] = c * cp - s * cq
-                a[:, :, q] = s * cp + c * cq
-                # Entries with apq == 0 were exactly zero already.
-                a[:, p, q] = 0.0
-                a[:, q, p] = 0.0
-    raise RuntimeError(f"Jacobi iteration failed to converge in {MAX_SWEEPS} sweeps")
+    return np.linalg.eigvalsh(a)[:, ::-1]
 
 
 def spectra_match(subset: CayleySubset, tol: float = 1e-8) -> bool:
-    """Formula spectrum == Jacobi spectrum, as sorted lists, elementwise."""
+    """Formula spectrum == dense eigensolver spectrum, as sorted lists, elementwise."""
     formula = np.array(sorted(full_spectrum(subset).values))
     dense = np.array(sorted(symmetric_eigenvalues(adjacency_matrix(subset))))
     return bool(np.max(np.abs(formula - dense)) <= tol)

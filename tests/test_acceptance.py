@@ -63,7 +63,7 @@ def _formula_values(subset):
 
 
 def test_criterion_01_oracle_equivalence():
-    """Formula spectra == Jacobi spectra: exhaustive m <= 6, 200 random for 7..12."""
+    """Formula spectra == dense eigensolver spectra: exhaustive m <= 6, 200 random for 7..12."""
     t0 = time.monotonic()
     tol = 1e-8
     worst = 0.0

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -9,8 +10,11 @@ from rqgraph.dense import (
     symmetric_eigenvalues,
     symmetric_eigenvalues_batch,
 )
+from rqgraph.group import all_elements, multiply
 from rqgraph.spectra import full_spectrum
-from rqgraph.subsets import full_subset, parse_subset_literal, random_subset
+from rqgraph.subsets import CayleySubset, full_subset, parse_subset_literal, random_subset
+
+from conftest import structural_subsets
 
 COCKTAIL = parse_subset_literal("m=3;pairs=1,2;delta=0;ypairs=0,1,2")
 
@@ -44,7 +48,31 @@ def test_adjacency_size_cap():
         adjacency_matrix(full_subset(2048))
 
 
-def test_jacobi_small_examples():
+def _adjacency_by_vertex_loop(subset):
+    """Reference construction: one multiply per vertex and generator."""
+    m = subset.m
+    idx = {g: i for i, g in enumerate(all_elements(m))}
+    gens = subset.elements()
+    a = np.zeros((4 * m, 4 * m))
+    for g in idx:
+        for s in gens:
+            a[idx[g], idx[multiply(g, s, m)]] = 1.0
+    return a
+
+
+def test_adjacency_matches_per_vertex_loop():
+    cases = [s for m in (1, 2, 3) for s in structural_subsets(m)]
+    rng = random.Random(17)
+    for m in range(1, 13):
+        for _ in range(8):
+            pairs = frozenset(k for k in range(1, m) if rng.random() < 0.5)
+            ypairs = frozenset(k for k in range(m) if rng.random() < 0.5)
+            cases.append(CayleySubset(m, pairs, rng.randrange(2), ypairs))
+    for s in cases:
+        assert np.array_equal(adjacency_matrix(s), _adjacency_by_vertex_loop(s)), s
+
+
+def test_eigensolver_small_examples():
     vals = symmetric_eigenvalues(np.ones((12, 12)) - np.eye(12))
     assert abs(vals[0] - 11) < 1e-9
     assert all(abs(v + 1) < 1e-9 for v in vals[1:])
@@ -53,31 +81,38 @@ def test_jacobi_small_examples():
     assert vals == pytest.approx(sorted([10] + [0] * 6 + [-2] * 5, reverse=True), abs=1e-9)
 
 
-def test_jacobi_against_numpy_on_random_symmetric():
-    rng = np.random.default_rng(42)
+def test_eigensolver_closed_form_spectra():
     for n in (2, 3, 5, 8, 13):
-        a = rng.normal(size=(n, n))
-        a = (a + a.T) / 2
-        ours = symmetric_eigenvalues(a)
-        ref = sorted(np.linalg.eigvalsh(a).tolist(), reverse=True)
-        assert ours == pytest.approx(ref, abs=1e-10)
+        eye = np.eye(n)
+        cycle = np.roll(eye, 1, axis=1) + np.roll(eye, -1, axis=1)
+        expected = sorted((2 * math.cos(2 * math.pi * k / n) for k in range(n)), reverse=True)
+        assert symmetric_eigenvalues(cycle) == pytest.approx(expected, abs=1e-12)
+    k44 = np.block([[np.zeros((4, 4)), np.ones((4, 4))], [np.ones((4, 4)), np.zeros((4, 4))]])
+    assert symmetric_eigenvalues(k44) == pytest.approx([4.0] + [0.0] * 6 + [-4.0], abs=1e-12)
 
 
-def test_jacobi_batch_matches_scalar():
+def test_eigensolver_batch_matches_scalar():
     rng = np.random.default_rng(3)
     batch = rng.normal(size=(6, 10, 10))
     batch = (batch + np.swapaxes(batch, 1, 2)) / 2
     out = symmetric_eigenvalues_batch(batch)
+    assert out.shape == (6, 10)
     for i in range(6):
         assert out[i].tolist() == pytest.approx(symmetric_eigenvalues(batch[i]), abs=1e-10)
 
 
-def test_jacobi_rejects_asymmetric():
+def test_eigensolver_rejects_asymmetric():
     with pytest.raises(ValueError):
         symmetric_eigenvalues(np.array([[0.0, 1.0], [0.5, 0.0]]))
+    # within numpy's default rtol, but not exactly symmetric
+    near = np.array([[0.0, 1.0], [1.0 + 1e-7, 0.0]])
+    with pytest.raises(ValueError):
+        symmetric_eigenvalues(near)
+    with pytest.raises(ValueError):
+        symmetric_eigenvalues_batch(np.stack([np.eye(2), near]))
 
 
-def test_jacobi_permutation_invariance():
+def test_eigensolver_permutation_invariance():
     rng = np.random.default_rng(5)
     s = random_subset(4, 5, random.Random(5), "s")
     a = adjacency_matrix(s)
