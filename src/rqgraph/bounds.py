@@ -14,17 +14,20 @@ from dataclasses import dataclass
 from typing import Optional
 
 import mpmath
+import numpy as np
 
 from . import spectra
 from .subsets import FAMILY_ALL, enumerate_family
 
 # Index of the split-shift table is the covalency mod 6.
 SPLIT_SHIFT = {0: 0, 1: 2, 2: 4, 3: 0, 4: 2, 5: -2}
+_SHIFTS = np.array([SPLIT_SHIFT[i] for i in range(6)])
 
 EXACT_SCAN_MAX_M = 12
 SPECTRAL_MIN_PRIME = 67
 _MP_DPS = 50
 _NEAR_ZERO = 1e-9
+_MAX_GAP_K = 1 << 28    # keeps 36 k^2 + 3 (r + 3) k + c inside int64
 
 
 @dataclass(frozen=True)
@@ -96,21 +99,22 @@ def extremal_mu2(m: int, l1: int, l2: int) -> float:
     inside the group.
     """
     _validate_split(m, l1, l2)
+    return _peak_mu2(math, m, l1, l2)
+
+
+def _peak_mu2(xp, n, l1, l2):
+    """extremal_mu2's formula in the module xp: math, mpmath, or numpy (integer arrays too)."""
     delta = (l1 + l2) % 2
-    s = math.sin(math.pi / m)
+    s = xp.sin(xp.pi / n)
     return (
-        abs(math.sin(math.pi * (l1 - 1 + delta) / m) / s + (1 - delta))
-        + 2.0 * math.sin(math.pi * l2 / (2 * m)) / s
+        abs(xp.sin(xp.pi * (l1 - 1 + delta) / n) / s + (1 - delta))
+        + 2 * xp.sin(xp.pi * l2 / (2 * n)) / s
     )
 
 
-def _extremal_mu2_mp(m, l1, l2):
-    delta = (l1 + l2) % 2
-    s = mpmath.sin(mpmath.pi / m)
-    return (
-        abs(mpmath.sin(mpmath.pi * (l1 - 1 + delta) / m) / s + (1 - delta))
-        + 2 * mpmath.sin(mpmath.pi * l2 / (2 * m)) / s
-    )
+def _gap(xp, n, l, l1, l2):
+    """Peak eigenvalue at the split (l1, l2) minus the Ramanujan bound at covalency l."""
+    return _peak_mu2(xp, n, l1, l2) - 2 * xp.sqrt(4 * n - l - 1)
 
 
 def _validate_split(m: int, l1: int, l2: int) -> None:
@@ -178,8 +182,7 @@ def is_exceptional_spectral(p: int) -> ExceptionalVerdict:
     margin = lam - bound
     if abs(margin) < spectra.NEAR_TIE_MARGIN:
         with mpmath.workdps(_MP_DPS):
-            margin_mp = _extremal_mu2_mp(p, split.l1, split.l2) - 2 * mpmath.sqrt(4 * p - l - 1)
-            exceptional = bool(margin_mp <= 0)
+            exceptional = bool(_gap(mpmath, p, l, split.l1, split.l2) <= 0)
     else:
         exceptional = margin <= 0
     witness = {
@@ -194,51 +197,50 @@ def is_exceptional_spectral(p: int) -> ExceptionalVerdict:
 # -- the interpolating gap function ------------------------------------------
 
 
-def interpolated_gap(r: int, c: int, k: int, use_mp: bool = False) -> float:
+def interpolated_gap(r: int, c: int, k: int | np.ndarray, use_mp: bool = False) -> float | np.ndarray:
     """Peak eigenvalue minus Ramanujan bound, interpolated along one family.
 
     Evaluated at t = 36 k^2 + 3 (r + 3) k + c with covalency l = 24 k + r + 1
     and the maximizing split for that l.  Its sign matches the sign of the
-    exceptionality margin whenever t is prime.
+    exceptionality margin whenever t is prime.  k is an int (a float comes
+    back) or an int64 array (an array of gaps comes back, one numpy pass);
+    use_mp evaluates a scalar k in extended precision and rounds to float.
     """
+    if use_mp:
+        return float(_gap_mp(r, c, k))
+    t, l, l1, l2 = _gap_arguments(r, c, k)
+    g = _gap(np, t, l, l1, l2)
+    return float(g) if g.ndim == 0 else g
+
+
+def _gap_arguments(r, c, k):
+    """(t, l, l1, l2) of the interpolated gap at k, an int or an int64 array."""
     if not 0 <= r <= 23:
         raise ValueError(f"family residue r must be in [0, 23], got {r}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    t = 36 * k * k + 3 * (r + 3) * k + c
+    k = np.asarray(k, dtype=np.int64)
+    if np.any((k < 1) | (k > _MAX_GAP_K)):
+        raise ValueError(f"k must be in [1, {_MAX_GAP_K}], got {k}")
     l = 24 * k + r + 1
-    sp = maximizing_split(l)
-    if use_mp:
-        with mpmath.workdps(_MP_DPS):
-            s = mpmath.sin(mpmath.pi / t)
-            delta = l % 2
-            val = (
-                mpmath.sin(mpmath.pi * (sp.l1 - 1 + delta) / t) / s
-                + (1 - delta)
-                + 2 * mpmath.sin(mpmath.pi * sp.l2 / (2 * t)) / s
-                - 2 * mpmath.sqrt(4 * t - l - 1)
-            )
-            return float(val)
-    delta = l % 2
-    s = math.sin(math.pi / t)
-    return (
-        math.sin(math.pi * (sp.l1 - 1 + delta) / t) / s
-        + (1 - delta)
-        + 2.0 * math.sin(math.pi * sp.l2 / (2 * t)) / s
-        - 2.0 * math.sqrt(4 * t - l - 1)
-    )
+    a = _SHIFTS[l % 6]      # maximizing_split, one lookup for every k
+    l1, rem = divmod(l + a, 3)
+    if rem.any():
+        raise AssertionError(f"shift table broken for l={np.extract(rem, l)}")
+    return 36 * k * k + 3 * (r + 3) * k + c, l, l1, (2 * l - a) // 3
+
+
+def _gap_mp(r: int, c: int, k: int):
+    """The interpolated gap at a scalar k as an mpf, at _MP_DPS digits."""
+    args = [int(v) for v in _gap_arguments(r, c, k)]
+    with mpmath.workdps(_MP_DPS):
+        return _gap(mpmath, *args)
 
 
 def interpolated_gap_sign(r: int, c: int, k: int) -> int:
-    """Robust sign of the interpolated gap; near-zero values are re-evaluated."""
+    """Robust sign of the interpolated gap; near-zero values are re-decided on the mpf."""
     g = interpolated_gap(r, c, k)
     if abs(g) < _NEAR_ZERO:
-        g = interpolated_gap(r, c, k, use_mp=True)
-    if g > 0:
-        return 1
-    if g < 0:
-        return -1
-    return 0
+        g = _gap_mp(r, c, k)
+    return int(g > 0) - int(g < 0)
 
 
 def asymptotic_coefficient(r: int, c: int) -> float:

@@ -1,53 +1,28 @@
 """Brute-force spectrum oracle: explicit adjacency matrix + LAPACK eigensolver.
 
 This route never touches the character formulas, so it serves as independent
-ground truth for them.  The adjacency matrix is read off a Cayley table built
-by `group.multiply`, so the group law keeps a single definition; eigenvalues
+ground truth for them.  The adjacency matrix is read off `group.cayley_table`,
+built by `group.multiply`, so the group law keeps a single definition; eigenvalues
 come from `numpy.linalg.eigvalsh` (LAPACK), batched over a stack of matrices.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from .group import GroupElement, all_elements, multiply
+from .group import cayley_table, element_index
 from .subsets import CayleySubset
 from .spectra import full_spectrum
-
-MAX_ORACLE_ORDER = 4096
-
-
-def _index(g: GroupElement, m: int) -> int:
-    """Position of g in `all_elements(m)`."""
-    return g.e * 2 * m + g.k
-
-
-@lru_cache(maxsize=1)
-def _cayley_table(m: int) -> np.ndarray:
-    """Read-only table[i, j] = index of g_i * g_j, over `all_elements(m)`.
-
-    int16 holds every index below MAX_ORACLE_ORDER and keeps the largest
-    table at 32 MB.  Only the latest m is cached: callers work one m at a time.
-    """
-    elems = all_elements(m)
-    table = np.empty((len(elems), len(elems)), dtype=np.int16)
-    for i, g in enumerate(elems):
-        table[i] = [_index(multiply(g, h, m), m) for h in elems]
-    table.flags.writeable = False
-    return table
 
 
 def adjacency_matrix(subset: CayleySubset) -> np.ndarray:
     """0/1 adjacency matrix of X(S): vertices g, edges g ~ g*s for s in S."""
     m = subset.m
     order = 4 * m
-    if order > MAX_ORACLE_ORDER:
-        raise ValueError(f"oracle capped at {MAX_ORACLE_ORDER} vertices, got 4m={order}")
-    gens = [_index(s, m) for s in subset.elements()]
+    table = np.frombuffer(cayley_table(m), dtype=np.uint16).reshape(order, order)
+    gens = [element_index(s, m) for s in subset.elements()]
     a = np.zeros((order, order), dtype=np.float64)
-    a[np.arange(order)[:, None], _cayley_table(m)[:, gens]] = 1.0
+    a[np.arange(order)[:, None], table[:, gens]] = 1.0
     return a
 
 

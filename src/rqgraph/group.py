@@ -8,10 +8,14 @@ e in {0, 1}, so elements are stored as plain (k, e) pairs.
 from __future__ import annotations
 
 import math
+from array import array
+from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 # Sanity cap on the group parameter; all real uses are tiny compared to this.
 MAX_M = 1 << 20
+# Largest group order with a Cayley table: (4m)^2 uint16 entries, 32 MiB.
+MAX_TABLE_ORDER = 4096
 
 
 class GroupElement(NamedTuple):
@@ -39,6 +43,11 @@ def all_elements(m: int) -> list[GroupElement]:
     """The 4m elements, <x> first, then the coset <x>y."""
     _check_m(m)
     return [GroupElement(k, e) for e in (0, 1) for k in range(2 * m)]
+
+
+def element_index(g: GroupElement, m: int) -> int:
+    """Position of the normal form g in `all_elements(m)`."""
+    return g.e * 2 * m + g.k
 
 
 def multiply(a: GroupElement, b: GroupElement, m: int) -> GroupElement:
@@ -83,37 +92,48 @@ def conjugacy_classes(m: int) -> list[frozenset[GroupElement]]:
     return classes
 
 
+@lru_cache(maxsize=1)
+def cayley_table(m: int) -> memoryview:
+    """Read-only flat Cayley table: entry 4m * i + j is the index of g_i * g_j.
+
+    Indices are positions in `all_elements(m)`.  Built from `multiply`, so the
+    group law keeps a single definition; uint16 holds every index below
+    MAX_TABLE_ORDER.  Only the latest m is cached: callers work one m at a time.
+    """
+    _check_m(m)
+    if 4 * m > MAX_TABLE_ORDER:
+        raise ValueError(f"Cayley table capped at {MAX_TABLE_ORDER} elements, got 4m={4 * m}")
+    elems = all_elements(m)
+    table = array("H", [element_index(multiply(g, h, m), m) for g in elems for h in elems])
+    return memoryview(table).toreadonly()
+
+
 def generates(subset: Iterable[GroupElement], m: int) -> bool:
     """True iff the closure of `subset` under multiplication is the whole group.
 
-    Breadth-first closure over the 4m elements; O(|subset| * 4m).
+    Breadth-first closure over the 4m elements by lookups in `cayley_table`;
+    O(|subset| * 4m) once the table for m exists, and capped with it.
     """
     _check_m(m)
-    gens = list(subset)
+    gens = [element_index(element(g.k, g.e, m), m) for g in subset]
     if not gens:
         raise ValueError("generation test needs a nonempty subset")
-    n = 2 * m
+    table = cayley_table(m)
     order = 4 * m
-
-    def idx(g: GroupElement) -> int:
-        return g.e * n + g.k
-
     seen = bytearray(order)
-    seen[idx(IDENTITY)] = 1
-    frontier = [IDENTITY]
-    count = 1
+    frontier = [element_index(IDENTITY, m)]
+    seen[frontier[0]] = 1
     while frontier:
         nxt = []
-        for g in frontier:
-            for s in gens:
-                h = multiply(g, s, m)
-                i = idx(h)
-                if not seen[i]:
-                    seen[i] = 1
-                    count += 1
+        for i in frontier:
+            row = i * order
+            for j in gens:
+                h = table[row + j]
+                if not seen[h]:
+                    seen[h] = 1
                     nxt.append(h)
         frontier = nxt
-    return count == order
+    return all(seen)
 
 
 def generates_fast(m: int, pair_indices: Iterable[int], ypair_indices: Iterable[int]) -> bool:

@@ -17,7 +17,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bounds import ExceptionalVerdict, interpolated_gap_sign, trivial_bound
+import numpy as np
+
+from .bounds import _NEAR_ZERO, ExceptionalVerdict, interpolated_gap, interpolated_gap_sign, trivial_bound
 
 # Strong-pseudoprime witnesses proving primality for every n < 2^64.
 _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
@@ -163,21 +165,22 @@ def derive_k_threshold(r: int, c: int) -> int:
     _, allowed = candidate_constants(r)
     if c not in allowed:
         raise ValueError(f"c={c} is not an admissible constant for r={r}")
-    threshold = None
-    for k in range(1, THRESHOLD_SCAN_HORIZON + 1):
-        value = 36 * k * k + 3 * (r + 3) * k + c
-        holds = value >= MIN_EXCEPTIONAL_PRIME and interpolated_gap_sign(r, c, k) < 0
-        if threshold is None:
-            if holds:
-                threshold = k
-        elif not holds:
-            raise ArithmeticError(
-                f"threshold condition for (r={r}, c={c}) broke at k={k} "
-                f"after first holding at k={threshold}"
-            )
-    if threshold is None:
+    ks = np.arange(1, THRESHOLD_SCAN_HORIZON + 1)
+    gap = interpolated_gap(r, c, ks)
+    negative = gap < 0
+    for i in np.flatnonzero(np.abs(gap) < _NEAR_ZERO):
+        negative[i] = interpolated_gap_sign(r, c, int(ks[i])) < 0
+    holds = negative & (36 * ks * ks + 3 * (r + 3) * ks + c >= MIN_EXCEPTIONAL_PRIME)
+    if not holds.any():
         raise ArithmeticError(f"no threshold found for (r={r}, c={c}) within the horizon")
-    return threshold
+    first = int(np.argmax(holds))
+    broken = np.flatnonzero(~holds[first:])
+    if broken.size:
+        raise ArithmeticError(
+            f"threshold condition for (r={r}, c={c}) broke at k={ks[first + broken[0]]} "
+            f"after first holding at k={ks[first]}"
+        )
+    return int(ks[first])
 
 
 @lru_cache(maxsize=None)
@@ -255,8 +258,6 @@ def family_primes(r: int, c: int, x_max: int, k_min: int | None = None, head: in
 
 @lru_cache(maxsize=4)
 def _odd_primes_from_5(bound: int):
-    import numpy as np
-
     sieve = np.ones(bound + 1, dtype=bool)
     sieve[:2] = False
     for i in range(2, math.isqrt(bound) + 1):
@@ -275,8 +276,6 @@ def _hl_product(reduced_discriminant: int, prime_bound: int) -> float:
     primes dividing the discriminant a lookup table replaces per-prime
     symbol computations.
     """
-    import numpy as np
-
     d = reduced_discriminant
     primes = _odd_primes_from_5(prime_bound)
     period = 4 * abs(d)

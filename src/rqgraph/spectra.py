@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import mpmath
@@ -93,12 +94,14 @@ def mu_abs(subset: CayleySubset, j: int) -> float:
     return max(abs(ev.plus), abs(ev.minus))
 
 
-def _raw_values(subset: CayleySubset) -> list[float]:
+@lru_cache(maxsize=1)
+def _raw_values(subset: CayleySubset) -> tuple[float, ...]:
+    """The 4m eigenvalues, unsorted; cached for the latest subset only (callers go one at a time)."""
     vals = [float(v) for v in one_dim_eigenvalues(subset)]
     for j in range(1, subset.m):
         ev = two_dim_eigenvalues(subset, j)
         vals.extend((ev.plus, ev.plus, ev.minus, ev.minus))
-    return vals
+    return tuple(vals)
 
 
 def full_spectrum(subset: CayleySubset) -> Spectrum:
@@ -126,9 +129,13 @@ def lambda_max_nontrivial(subset: CayleySubset) -> float:
     Both +|S| and -|S| are excluded (the bipartite-style convention), so a
     bipartite Cayley graph is judged on its interior spectrum only.
     """
-    degree = subset.size
+    return _interior_max(_raw_values(subset), subset.size)
+
+
+def _interior_max(vals, degree):
+    """Largest |v| over the values whose magnitude is not the degree."""
     best = None
-    for v in _raw_values(subset):
+    for v in vals:
         if abs(abs(v) - degree) <= DECISION_TOL:
             continue
         a = abs(v)
@@ -147,7 +154,6 @@ def ramanujan_bound(subset: CayleySubset) -> float:
 def _lambda_max_nontrivial_mp(subset: CayleySubset):
     """Extended-precision re-evaluation of lambda_max_nontrivial."""
     m = subset.m
-    degree = subset.size
     vals = [mpmath.mpf(v) for v in one_dim_eigenvalues(subset)]
     for j in range(1, m):
         step = mpmath.pi * j / m
@@ -161,10 +167,7 @@ def _lambda_max_nontrivial_mp(subset: CayleySubset):
             im = mpmath.fsum(mpmath.sin(step * k2) for k2 in subset.ypair_bits)
             w = 2 * mpmath.sqrt(re * re + im * im)
         vals.extend((z + w, z - w))
-    interior = [abs(v) for v in vals if abs(abs(v) - degree) > DECISION_TOL]
-    if not interior:
-        raise ValueError("all eigenvalues have magnitude |S|; no non-trivial eigenvalue")
-    return max(interior)
+    return _interior_max(vals, subset.size)
 
 
 def is_ramanujan(subset: CayleySubset) -> bool:

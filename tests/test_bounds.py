@@ -1,7 +1,10 @@
 import math
 
+import mpmath
+import numpy as np
 import pytest
 
+from rqgraph import bounds
 from rqgraph.bounds import (
     SPLIT_SHIFT,
     asymptotic_coefficient,
@@ -154,6 +157,56 @@ def test_interpolated_gap_signs():
         interpolated_gap(24, 0, 1)
     with pytest.raises(ValueError):
         interpolated_gap(0, -5, 0)
+
+
+def _admissible_families():
+    from rqgraph.primes import candidate_constants
+
+    return [(r, c) for r in range(24) for c in candidate_constants(r)[1]]
+
+
+def test_interpolated_gap_array_matches_scalar_calls():
+    """One numpy pass gives, bit for bit, what one call per k gives."""
+    families = _admissible_families()
+    assert len(families) == 54
+    cases = [(r, c, 10_000) for (r, c) in ((0, -5), (11, 7), (23, 41))]
+    cases += [(r, c, 50) for (r, c) in families]
+    for r, c, horizon in cases:
+        ks = np.arange(1, horizon + 1)
+        gaps = interpolated_gap(r, c, ks)
+        assert gaps.shape == ks.shape
+        assert gaps.tolist() == [interpolated_gap(r, c, k) for k in range(1, horizon + 1)], (r, c)
+    with pytest.raises(ValueError):
+        interpolated_gap(0, -5, np.array([3, 0, 5]))
+    with pytest.raises(ValueError):                 # f(k) would overflow int64
+        interpolated_gap(0, -5, 1 << 29)
+
+
+def test_interpolated_gap_sign_decides_on_the_mpf(monkeypatch):
+    """A near-zero double is re-decided in mpmath, by the mpf's own sign."""
+    seen = []
+
+    def tiny_mp_gap(r, c, k):
+        seen.append((r, c, k))
+        return mpmath.mpf("-1e-400")    # rounds to -0.0 as a double
+
+    monkeypatch.setattr(bounds, "interpolated_gap", lambda r, c, k: 1e-12)
+    monkeypatch.setattr(bounds, "_gap_mp", tiny_mp_gap)
+    assert interpolated_gap_sign(6, 4, 3) == -1
+    assert seen == [(6, 4, 3)]
+    monkeypatch.setattr(bounds, "interpolated_gap", lambda r, c, k: 2e-9)
+    assert interpolated_gap_sign(6, 4, 3) == 1
+    assert seen == [(6, 4, 3)]
+
+
+def test_broken_shift_table_is_caught(monkeypatch):
+    broken = np.array([0, 2, 4, 0, 2, 0])      # residue 5 loses its -2
+    monkeypatch.setattr(bounds, "_SHIFTS", broken)
+    assert interpolated_gap(0, -5, np.arange(1, 100)).shape == (99,)  # l = 1 mod 6 only
+    with pytest.raises(AssertionError, match="shift table broken"):
+        interpolated_gap(4, 1, np.arange(1, 100))                     # l = 5 mod 6
+    with pytest.raises(AssertionError, match="shift table broken"):
+        interpolated_gap(4, 1, 7)
 
 
 def test_gap_sign_matches_spectral_margin_at_primes():

@@ -47,6 +47,25 @@ def test_spectrum_non_ramanujan_witness(capsys):
     assert res["lambda_max_nontrivial"] == 11.0
 
 
+def test_spectrum_evaluates_each_block_once(capsys, monkeypatch):
+    """full_spectrum, lambda_max_nontrivial and is_ramanujan share one pass."""
+    from rqgraph import spectra
+
+    calls = []
+    original = spectra.two_dim_eigenvalues
+
+    def counting(subset, j):
+        calls.append(j)
+        return original(subset, j)
+
+    monkeypatch.setattr(spectra, "two_dim_eigenvalues", counting)
+    spectra._raw_values.cache_clear()
+    code, out = run(capsys, ["spectrum", "--subset", "m=12;pairs=1,5,7;delta=1;ypairs=0,3,11"])
+    assert code == 0
+    assert json.loads(out)["results"]["degree"] == 13
+    assert sorted(calls) == list(range(1, 12))
+
+
 def test_cli_bad_input_is_a_clean_error(capsys):
     code = main(["spectrum", "--subset", "m=3;pairs=9;delta=0;ypairs=0"])
     captured = capsys.readouterr()

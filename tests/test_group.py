@@ -90,6 +90,8 @@ def test_generates_examples():
     assert not generates({GroupElement(2, 0), GroupElement(4, 0)}, m)
     # closure of {y, x^3 y} is {1, x^3, y, x^3 y}
     assert not generates({GroupElement(0, 1), GroupElement(3, 1)}, m)
+    # exponents outside the normal form are reduced first: x^7 = x, x^6 y^3 = y
+    assert generates({GroupElement(7, 0), GroupElement(6, 3)}, m)
 
 
 def test_generates_rejects_empty():
@@ -98,13 +100,16 @@ def test_generates_rejects_empty():
 
 
 def test_group_size_guard():
-    from rqgraph.group import MAX_M, element
+    from rqgraph.group import MAX_M, MAX_TABLE_ORDER, element
 
     assert element(2 * MAX_M + 5, 1, MAX_M) == GroupElement(5, 1)
     with pytest.raises(ValueError):
         element(0, 0, MAX_M + 1)
     with pytest.raises(ValueError):
         conjugacy_classes(0)
+    # the BFS reads the Cayley table, which is capped
+    with pytest.raises(ValueError):
+        generates({GroupElement(1, 0), GroupElement(0, 1)}, MAX_TABLE_ORDER // 4 + 1)
 
 
 @pytest.mark.parametrize("m", range(1, 9))

@@ -1,10 +1,14 @@
 import math
 import random
 
+import mpmath
+import numpy as np
 import pytest
 
-from rqgraph.bounds import trivial_bound
+from rqgraph import bounds, primes
+from rqgraph.bounds import interpolated_gap, interpolated_gap_sign, trivial_bound
 from rqgraph.primes import (
+    THRESHOLD_SCAN_HORIZON,
     all_families,
     candidate_constants,
     density_divisor,
@@ -130,6 +134,86 @@ def test_derive_k_threshold_spot_values():
     assert derive_k_threshold(9, 7) == 1
     assert derive_k_threshold(1, -1) == 2
     assert derive_k_threshold(7, 1) == 4
+
+
+def _threshold_by_loop(r, c):
+    """The per-k scan: first k where f(k) >= 67 and the gap is negative, which
+    must then hold up to the horizon.  Gap values come from one array call
+    (pinned to scalar calls in test_bounds); near-zero ones go through
+    interpolated_gap_sign."""
+    gaps = interpolated_gap(r, c, np.arange(1, THRESHOLD_SCAN_HORIZON + 1)).tolist()
+    threshold = None
+    for k, g in enumerate(gaps, start=1):
+        negative = interpolated_gap_sign(r, c, k) < 0 if abs(g) < 1e-9 else g < 0
+        holds = 36 * k * k + 3 * (r + 3) * k + c >= 67 and negative
+        if threshold is None:
+            if holds:
+                threshold = k
+        elif not holds:
+            return ("broke", k)
+    return threshold
+
+
+def test_derive_k_threshold_matches_per_k_loop():
+    families = [(f.r, f.c) for f in all_families()]
+    assert len(families) == 54
+    for r, c in families:
+        assert derive_k_threshold(r, c) == _threshold_by_loop(r, c), (r, c)
+
+
+def _fake_gap(values):
+    """A stand-in gap: values[k] where given, -1 elsewhere; scalar or array k."""
+
+    def gap(r, c, k):
+        k = np.asarray(k)
+        out = np.full(k.shape, -1.0)
+        for key, v in values.items():
+            out[k == key] = v
+        return out if out.ndim else float(out)
+
+    return gap
+
+
+def test_threshold_premise_checks_still_raise(monkeypatch):
+    derive = derive_k_threshold.__wrapped__
+    # (6, 4): f(1) = 67, so the condition holds from k = 1 until the gap turns
+    monkeypatch.setattr(primes, "interpolated_gap", _fake_gap({5: 0.5, 9: 0.5}))
+    broke = r"^threshold condition for \(r=6, c=4\) broke at k={} after first holding at k={}$"
+    with pytest.raises(ArithmeticError, match=broke.format(5, 1)):
+        derive(6, 4)
+    last = THRESHOLD_SCAN_HORIZON
+    monkeypatch.setattr(primes, "interpolated_gap", _fake_gap({1: 0.5, 2: 0.5, last: 0.5}))
+    with pytest.raises(ArithmeticError, match=broke.format(last, 3)):
+        derive(6, 4)
+    monkeypatch.setattr(primes, "interpolated_gap", lambda r, c, k: np.ones(len(k)))
+    with pytest.raises(ArithmeticError, match=r"^no threshold found for \(r=6, c=4\) within the horizon$"):
+        derive(6, 4)
+    # f(k) >= 67 still gates the threshold: (0, -5) has f(1) = 40
+    monkeypatch.setattr(primes, "interpolated_gap", _fake_gap({}))
+    assert derive(0, -5) == 2
+    assert derive(6, 4) == 1
+
+
+def test_threshold_near_zero_gap_is_decided_in_mpmath(monkeypatch):
+    """A gap under 1e-9 in magnitude is decided by the mpf, not by its double."""
+    fake = _fake_gap({1: 1.0, 2: 1.0, 3: 1e-12})
+    monkeypatch.setattr(primes, "interpolated_gap", fake)
+    monkeypatch.setattr(bounds, "interpolated_gap", fake)
+    escalated = []
+
+    def mp_gap(r, c, k):
+        escalated.append(k)
+        return mpmath.mpf(-1) if k == 3 else mpmath.mpf(1)
+
+    monkeypatch.setattr(bounds, "_gap_mp", mp_gap)
+    assert derive_k_threshold.__wrapped__(6, 4) == 3
+    assert escalated == [3]
+    fake = _fake_gap({1: 1.0, 2: 1.0, 4: -1e-12})
+    monkeypatch.setattr(primes, "interpolated_gap", fake)
+    monkeypatch.setattr(bounds, "interpolated_gap", fake)
+    with pytest.raises(ArithmeticError, match="broke at k=4 after first holding at k=3"):
+        derive_k_threshold.__wrapped__(6, 4)
+    assert escalated == [3, 4]
 
 
 def test_window_coordinates_roundtrip():
