@@ -17,16 +17,14 @@ import mpmath
 import numpy as np
 
 from . import spectra
-from .subsets import FAMILY_ALL, enumerate_family
+from .subsets import FAMILY_ALL, check_split, enumerate_family
 
 # Index of the split-shift table is the covalency mod 6.
 SPLIT_SHIFT = {0: 0, 1: 2, 2: 4, 3: 0, 4: 2, 5: -2}
 _SHIFTS = np.array([SPLIT_SHIFT[i] for i in range(6)])
 
 EXACT_SCAN_MAX_M = 12
-SPECTRAL_MIN_PRIME = 67
-_MP_DPS = 50
-_NEAR_ZERO = 1e-9
+MIN_EXCEPTIONAL_PRIME = 67     # theorem scope of both classification routes
 _MAX_GAP_K = 1 << 28    # keeps 36 k^2 + 3 (r + 3) k + c inside int64
 
 
@@ -98,7 +96,7 @@ def extremal_mu2(m: int, l1: int, l2: int) -> float:
     mu_abs(extremal_subset(m, l1, l2), 2) whenever the removed windows fit
     inside the group.
     """
-    _validate_split(m, l1, l2)
+    check_split(m, l1, l2)
     return _peak_mu2(math, m, l1, l2)
 
 
@@ -117,14 +115,9 @@ def _gap(xp, n, l, l1, l2):
     return _peak_mu2(xp, n, l1, l2) - 2 * xp.sqrt(4 * n - l - 1)
 
 
-def _validate_split(m: int, l1: int, l2: int) -> None:
-    if l2 <= 0 or l2 % 2 or l2 >= 2 * m:
-        raise ValueError(f"l2 must be even with 0 < l2 < 2m, got l2={l2}, m={m}")
-    if not 0 < l1 <= 2 * m:
-        raise ValueError(f"l1 must satisfy 0 < l1 <= 2m, got l1={l1}, m={m}")
-    delta = (l1 + l2) % 2
-    if (l1 - 2 + delta) // 2 > m - 1 or l2 // 2 > m:
-        raise ValueError(f"removal windows for (l1, l2)=({l1}, {l2}) do not fit in m={m}")
+def gap_error_scale(t: int) -> float:
+    """spectra.EPS times this bounds a double gap's error at t or below; see `spectra.at_or_below`."""
+    return 64 * math.sqrt(t)
 
 
 def maximizing_split(l: int) -> SplitProfile:
@@ -149,18 +142,19 @@ def critical_lambda(p: int) -> float:
     Only established for odd primes p >= 67; below that an error is raised
     rather than guessing.
     """
-    _check_spectral_scope(p)
+    _check_scope(p, "spectral")
     split = maximizing_split(trivial_bound(p) + 1)
     return extremal_mu2(p, split.l1, split.l2)
 
 
-def _check_spectral_scope(p: int) -> None:
+def _check_scope(p: int, route: str) -> None:
+    """ValueError unless p is an odd prime >= MIN_EXCEPTIONAL_PRIME, the scope of both routes."""
     from .primes import is_prime
 
-    if p < SPECTRAL_MIN_PRIME:
+    if p < MIN_EXCEPTIONAL_PRIME:
         raise ValueError(
-            f"spectral classification is out of theorem scope for p={p} "
-            f"(requires p >= {SPECTRAL_MIN_PRIME})"
+            f"{route} classification is out of theorem scope for p={p} "
+            f"(requires p >= {MIN_EXCEPTIONAL_PRIME})"
         )
     if p % 2 == 0 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
@@ -170,21 +164,17 @@ def is_exceptional_spectral(p: int) -> ExceptionalVerdict:
     """Classify p by comparing the critical eigenvalue against the Ramanujan bound.
 
     p is exceptional iff the peak eigenvalue at covalency l0 + 1 still sits
-    at or below 2 sqrt(4p - l0 - 2).  Margins tighter than 1e-6 are resolved
-    in extended precision.
+    at or below 2 sqrt(4p - l0 - 2), decided by `spectra.at_or_below`.
     """
-    _check_spectral_scope(p)
+    _check_scope(p, "spectral")
     l0 = trivial_bound(p)
     l = l0 + 1
     split = maximizing_split(l)
     lam = extremal_mu2(p, split.l1, split.l2)
     bound = ramanujan_bound_at(p, l)
-    margin = lam - bound
-    if abs(margin) < spectra.NEAR_TIE_MARGIN:
-        with mpmath.workdps(_MP_DPS):
-            exceptional = bool(_gap(mpmath, p, l, split.l1, split.l2) <= 0)
-    else:
-        exceptional = margin <= 0
+    exceptional = spectra.at_or_below(
+        lam - bound, gap_error_scale(p), lambda: _gap(mpmath, p, l, split.l1, split.l2)
+    )
     witness = {
         "l1": split.l1,
         "l2": split.l2,
@@ -197,17 +187,14 @@ def is_exceptional_spectral(p: int) -> ExceptionalVerdict:
 # -- the interpolating gap function ------------------------------------------
 
 
-def interpolated_gap(r: int, c: int, k: int | np.ndarray, use_mp: bool = False) -> float | np.ndarray:
+def interpolated_gap(r: int, c: int, k: int | np.ndarray) -> float | np.ndarray:
     """Peak eigenvalue minus Ramanujan bound, interpolated along one family.
 
     Evaluated at t = 36 k^2 + 3 (r + 3) k + c with covalency l = 24 k + r + 1
     and the maximizing split for that l.  Its sign matches the sign of the
     exceptionality margin whenever t is prime.  k is an int (a float comes
-    back) or an int64 array (an array of gaps comes back, one numpy pass);
-    use_mp evaluates a scalar k in extended precision and rounds to float.
+    back) or an int64 array (an array of gaps comes back, one numpy pass).
     """
-    if use_mp:
-        return float(_gap_mp(r, c, k))
     t, l, l1, l2 = _gap_arguments(r, c, k)
     g = _gap(np, t, l, l1, l2)
     return float(g) if g.ndim == 0 else g
@@ -229,18 +216,8 @@ def _gap_arguments(r, c, k):
 
 
 def _gap_mp(r: int, c: int, k: int):
-    """The interpolated gap at a scalar k as an mpf, at _MP_DPS digits."""
-    args = [int(v) for v in _gap_arguments(r, c, k)]
-    with mpmath.workdps(_MP_DPS):
-        return _gap(mpmath, *args)
-
-
-def interpolated_gap_sign(r: int, c: int, k: int) -> int:
-    """Robust sign of the interpolated gap; near-zero values are re-decided on the mpf."""
-    g = interpolated_gap(r, c, k)
-    if abs(g) < _NEAR_ZERO:
-        g = _gap_mp(r, c, k)
-    return int(g > 0) - int(g < 0)
+    """The interpolated gap at a scalar k as an mpf, at mpmath's working precision."""
+    return _gap(mpmath, *(int(v) for v in _gap_arguments(r, c, k)))
 
 
 def asymptotic_coefficient(r: int, c: int) -> float:

@@ -266,16 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectrum", help="full spectrum and Ramanujan verdict of one Cayley subset")
     sp.add_argument("--subset", required=True, help="literal: m=<int>;pairs=<list>;delta=<0|1>;ypairs=<list>")
     sp.add_argument("--oracle", action="store_true", help="cross-check against the dense eigensolver")
-    sp.add_argument("--json", action="store_true", default=True)
     sp.add_argument("--csv", action="store_true", help="emit value,multiplicity CSV instead of JSON")
     sp.set_defaults(func=cmd_spectrum)
 
     lb = sub.add_parser("lbound", help="safe-covalency bounds")
     lb.add_argument("--m", type=int, required=True)
     lb.add_argument("--family", choices=["s", "sprime"], default="s")
-    group = lb.add_mutually_exclusive_group()
-    group.add_argument("--exact", action="store_true", help="exhaustive enumeration (small m only)")
-    group.add_argument("--closed-form", action="store_true", help="trivial bound only (default)")
+    lb.add_argument("--exact", action="store_true", help="exhaustive enumeration (small m only)")
     lb.set_defaults(func=cmd_lbound)
 
     ex = sub.add_parser("exceptional", help="classify an odd prime as exceptional or ordinary")

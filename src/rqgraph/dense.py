@@ -2,8 +2,8 @@
 
 This route never touches the character formulas, so it serves as independent
 ground truth for them.  The adjacency matrix is read off `group.cayley_table`,
-built by `group.multiply`, so the group law keeps a single definition; eigenvalues
-come from `numpy.linalg.eigvalsh` (LAPACK), batched over a stack of matrices.
+one call of `group.multiply` on index arrays, so the group law keeps a single
+definition; eigenvalues come from `numpy.linalg.eigvalsh` (LAPACK), batched.
 """
 
 from __future__ import annotations

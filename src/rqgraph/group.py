@@ -8,9 +8,10 @@ e in {0, 1}, so elements are stored as plain (k, e) pairs.
 from __future__ import annotations
 
 import math
-from array import array
 from functools import lru_cache
 from typing import Iterable, NamedTuple
+
+import numpy as np
 
 # Sanity cap on the group parameter; all real uses are tiny compared to this.
 MAX_M = 1 << 20
@@ -58,13 +59,10 @@ def multiply(a: GroupElement, b: GroupElement, m: int) -> GroupElement:
         x^a * x^b y     = x^(a+b) y
         x^a y * x^b     = x^(a-b) y
         x^a y * x^b y   = x^(a-b+m)
+    The four cases are one expression, so it also works elementwise on
+    elements whose k and e are int arrays.
     """
-    n = 2 * m
-    if a.e == 0:
-        return GroupElement((a.k + b.k) % n, b.e)
-    if b.e == 0:
-        return GroupElement((a.k - b.k) % n, 1)
-    return GroupElement((a.k - b.k + m) % n, 0)
+    return GroupElement((a.k + (1 - 2 * a.e) * b.k + m * a.e * b.e) % (2 * m), a.e ^ b.e)
 
 
 def inverse(g: GroupElement, m: int) -> GroupElement:
@@ -96,16 +94,17 @@ def conjugacy_classes(m: int) -> list[frozenset[GroupElement]]:
 def cayley_table(m: int) -> memoryview:
     """Read-only flat Cayley table: entry 4m * i + j is the index of g_i * g_j.
 
-    Indices are positions in `all_elements(m)`.  Built from `multiply`, so the
-    group law keeps a single definition; uint16 holds every index below
-    MAX_TABLE_ORDER.  Only the latest m is cached: callers work one m at a time.
+    Indices are positions in `all_elements(m)`.  One call of `multiply` on
+    index arrays, so the group law keeps a single definition; uint16 holds
+    every index below MAX_TABLE_ORDER.  Only the latest m is cached: callers
+    work one m at a time.
     """
     _check_m(m)
     if 4 * m > MAX_TABLE_ORDER:
         raise ValueError(f"Cayley table capped at {MAX_TABLE_ORDER} elements, got 4m={4 * m}")
-    elems = all_elements(m)
-    table = array("H", [element_index(multiply(g, h, m), m) for g in elems for h in elems])
-    return memoryview(table).toreadonly()
+    e, k = np.divmod(np.arange(4 * m, dtype=np.int16), 2 * m)    # |products| <= 5m fit int16
+    product = multiply(GroupElement(k[:, None], e[:, None]), GroupElement(k, e), m)
+    return memoryview(element_index(product, m).astype(np.uint16).ravel()).toreadonly()
 
 
 def generates(subset: Iterable[GroupElement], m: int) -> bool:

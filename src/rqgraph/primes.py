@@ -19,7 +19,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bounds import _NEAR_ZERO, ExceptionalVerdict, interpolated_gap, interpolated_gap_sign, trivial_bound
+from .bounds import MIN_EXCEPTIONAL_PRIME, ExceptionalVerdict, _check_scope, _gap_mp, gap_error_scale
+from .bounds import interpolated_gap, trivial_bound
+from .spectra import at_or_below, tie_window
 
 # Strong-pseudoprime witnesses proving primality for every n < 2^64.
 _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
@@ -28,7 +30,6 @@ _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 _SMALL_PRIME_PRODUCT = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47 * 53 * 59 * 61
 
 THRESHOLD_SCAN_HORIZON = 10_000
-MIN_EXCEPTIONAL_PRIME = 67
 
 
 @dataclass(frozen=True)
@@ -156,21 +157,25 @@ def candidate_constants(r: int) -> tuple[list[int], list[int]]:
 
 @lru_cache(maxsize=None)
 def derive_k_threshold(r: int, c: int) -> int:
-    """Smallest k with f(k) >= 67 and a negative interpolated gap.
+    """Smallest k with f(k) >= 67 and an interpolated gap at or below 0.
 
     The classification claims the condition then persists for every larger k;
     that monotone switch is verified up to a fixed horizon and an
     inconsistency raises (it would mean either a bug or a broken premise).
+    Gaps inside the near-tie window go through `spectra.at_or_below`, with
+    the error scale of the largest f(k) in the scan.
     """
     _, allowed = candidate_constants(r)
     if c not in allowed:
         raise ValueError(f"c={c} is not an admissible constant for r={r}")
     ks = np.arange(1, THRESHOLD_SCAN_HORIZON + 1)
+    values = 36 * ks * ks + 3 * (r + 3) * ks + c
     gap = interpolated_gap(r, c, ks)
-    negative = gap < 0
-    for i in np.flatnonzero(np.abs(gap) < _NEAR_ZERO):
-        negative[i] = interpolated_gap_sign(r, c, int(ks[i])) < 0
-    holds = negative & (36 * ks * ks + 3 * (r + 3) * ks + c >= MIN_EXCEPTIONAL_PRIME)
+    scale = gap_error_scale(int(values[-1]))
+    holds = gap <= 0
+    for i in np.flatnonzero(np.abs(gap) < tie_window(scale)).tolist():
+        holds[i] = at_or_below(float(gap[i]), scale, lambda: _gap_mp(r, c, i + 1))
+    holds &= values >= MIN_EXCEPTIONAL_PRIME
     if not holds.any():
         raise ArithmeticError(f"no threshold found for (r={r}, c={c}) within the horizon")
     first = int(np.argmax(holds))
@@ -208,13 +213,7 @@ def window_coordinates(p: int) -> tuple[int, int, int]:
 
 def is_exceptional_arithmetic(p: int) -> ExceptionalVerdict:
     """Classify p by its window coordinates against the family table."""
-    if p < MIN_EXCEPTIONAL_PRIME:
-        raise ValueError(
-            f"arithmetic classification is out of theorem scope for p={p} "
-            f"(requires p >= {MIN_EXCEPTIONAL_PRIME})"
-        )
-    if p % 2 == 0 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    _check_scope(p, "arithmetic")
     r, c, k = window_coordinates(p)
     l0 = 24 * k + r
     _, allowed = candidate_constants(r)

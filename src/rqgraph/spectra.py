@@ -9,6 +9,7 @@ cancellation is involved.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -17,12 +18,13 @@ import mpmath
 
 from .subsets import CayleySubset
 
-# Verdicts closer to the Ramanujan bound than this are recomputed in
-# extended precision before deciding the inequality.
+# The near-tie rule, `at_or_below`.
 NEAR_TIE_MARGIN = 1e-6
+TIE_TOL = 1e-30
+_MP_DPS = 50
+EPS = sys.float_info.epsilon
 DECISION_TOL = 1e-9
 GROUP_TOL = 1e-9
-_MP_DPS = 50
 
 
 class TwoDimEigenvalues(NamedTuple):
@@ -70,22 +72,26 @@ def two_dim_eigenvalues(subset: CayleySubset, j: int) -> TwoDimEigenvalues:
 
     z_j = sum over pairs of 2 cos(pi j k1 / m) + delta (-1)^j; the off-diagonal
     term w_j vanishes for odd j and is 2 |sum over y-pairs of e^(i pi j k2 / m)|
-    for even j.  Sums are fully compensated (math.fsum).
+    for even j.  Sums are fully compensated (fsum), in `_block`.
     """
     m = subset.m
     if not 1 <= j <= m - 1:
         raise ValueError(f"frequency j must be in [1, m-1], got j={j}, m={m}")
-    step = math.pi * j / m
-    z = math.fsum(2.0 * math.cos(step * k1) for k1 in subset.pair_bits)
+    z, w_abs = _block(math, subset, j)
+    return TwoDimEigenvalues(z, w_abs, z + w_abs, z - w_abs)
+
+
+def _block(xp, subset: CayleySubset, j: int):
+    """(z_j, |w_j|) in the numeric module xp: math for doubles, mpmath at its working precision."""
+    step = xp.pi * j / subset.m
+    z = xp.fsum(2.0 * xp.cos(step * k1) for k1 in subset.pair_bits)
     if subset.delta:
         z += -1.0 if j % 2 else 1.0
     if j % 2:
-        w_abs = 0.0
-    else:
-        re = math.fsum(math.cos(step * k2) for k2 in subset.ypair_bits)
-        im = math.fsum(math.sin(step * k2) for k2 in subset.ypair_bits)
-        w_abs = 2.0 * math.hypot(re, im)
-    return TwoDimEigenvalues(z, w_abs, z + w_abs, z - w_abs)
+        return z, 0.0 * step    # +0.0 (or mpf 0): step > 0
+    re = xp.fsum(xp.cos(step * k2) for k2 in subset.ypair_bits)
+    im = xp.fsum(xp.sin(step * k2) for k2 in subset.ypair_bits)
+    return z, 2.0 * xp.hypot(re, im)
 
 
 def mu_abs(subset: CayleySubset, j: int) -> float:
@@ -99,8 +105,8 @@ def _raw_values(subset: CayleySubset) -> tuple[float, ...]:
     """The 4m eigenvalues, unsorted; cached for the latest subset only (callers go one at a time)."""
     vals = [float(v) for v in one_dim_eigenvalues(subset)]
     for j in range(1, subset.m):
-        ev = two_dim_eigenvalues(subset, j)
-        vals.extend((ev.plus, ev.plus, ev.minus, ev.minus))
+        z, w = _block(math, subset, j)
+        vals += (z + w, z + w, z - w, z - w)
     return tuple(vals)
 
 
@@ -151,38 +157,52 @@ def ramanujan_bound(subset: CayleySubset) -> float:
     return 2.0 * math.sqrt(subset.size - 1)
 
 
-def _lambda_max_nontrivial_mp(subset: CayleySubset):
-    """Extended-precision re-evaluation of lambda_max_nontrivial."""
-    m = subset.m
-    vals = [mpmath.mpf(v) for v in one_dim_eigenvalues(subset)]
-    for j in range(1, m):
-        step = mpmath.pi * j / m
-        z = mpmath.fsum(2 * mpmath.cos(step * k1) for k1 in subset.pair_bits)
-        if subset.delta:
-            z += -1 if j % 2 else 1
-        if j % 2:
-            w = mpmath.mpf(0)
-        else:
-            re = mpmath.fsum(mpmath.cos(step * k2) for k2 in subset.ypair_bits)
-            im = mpmath.fsum(mpmath.sin(step * k2) for k2 in subset.ypair_bits)
-            w = 2 * mpmath.sqrt(re * re + im * im)
-        vals.extend((z + w, z - w))
-    return _interior_max(vals, subset.size)
+def tie_window(scale: float) -> float:
+    """Half-width of the near-tie window for a margin of error scale `scale`."""
+    return max(NEAR_TIE_MARGIN, EPS * scale)
+
+
+def at_or_below(margin: float, scale: float, exact_margin) -> bool:
+    """The one near-tie rule: is `margin` (value minus bound) at or below 0?
+
+    EPS * scale bounds the forward error of the double `margin`.  Outside
+    tie_window(scale) the double decides; inside, `exact_margin()` at _MP_DPS
+    digits decides by its own mpf value, a margin up to TIE_TOL being a tie:
+    exact ties occur (lambda = 10 = 2 sqrt(25) at m = 9, mpf margin +2e-50),
+    and a bare `<= 0` would put them above.  The callers' scales:
+      * character sums (`sums_error_scale`): |S| (2 pi m + 4).  Angles
+        pi j k / m < pi m take <= 4 roundings, so each of the <= |S| / 2 terms
+        of z_j +- |w_j| is off by 4 pi m EPS + 1 ulp; the rest adds ulps of |S|;
+      * closed-form gap (`bounds.gap_error_scale`): 64 sqrt(t).  Both sides
+        are about 4 sqrt(t) after a dozen roundings of up to 4 ulps (numpy sin).
+    Measured, the gap's error reaches 6.5 EPS sqrt(t) (4e-7 at t near 1e17).
+    The window passes 1e-6 only for m |S| above 7e8 or t above 5e15.
+    """
+    if abs(margin) >= tie_window(scale):
+        return margin <= 0
+    with mpmath.workdps(_MP_DPS):
+        return bool(exact_margin() <= TIE_TOL)
+
+
+def sums_error_scale(subset: CayleySubset) -> float:
+    """EPS times this bounds the error of a double eigenvalue or margin of subset (see `at_or_below`)."""
+    return subset.size * (2 * math.pi * subset.m + 4)
+
+
+def _margin_mp(subset: CayleySubset):
+    """lambda(S) minus the Ramanujan bound, at mpmath's working precision."""
+    vals = list(one_dim_eigenvalues(subset))
+    for j in range(1, subset.m):
+        z, w = _block(mpmath, subset, j)
+        vals += (z + w, z - w)
+    return _interior_max(vals, subset.size) - 2 * mpmath.sqrt(subset.size - 1)
 
 
 def is_ramanujan(subset: CayleySubset) -> bool:
-    """lambda(S) <= 2 sqrt(|S| - 1), with near-ties settled in high precision.
+    """lambda(S) <= 2 sqrt(|S| - 1), decided by `at_or_below`.
 
-    The double-precision verdict stands when the margin is comfortable;
-    within NEAR_TIE_MARGIN of the bound the comparison is redone with mpmath
-    because the underlying inequalities between trigonometric sums and square
-    roots can be genuinely tight.
+    The inequalities between trigonometric sums and square roots can be
+    genuinely tight, so near-ties are settled on the same sums in mpmath.
     """
-    lam = lambda_max_nontrivial(subset)
-    bound = ramanujan_bound(subset)
-    if abs(lam - bound) >= NEAR_TIE_MARGIN:
-        return lam <= bound
-    with mpmath.workdps(_MP_DPS):
-        lam_mp = _lambda_max_nontrivial_mp(subset)
-        bound_mp = 2 * mpmath.sqrt(subset.size - 1)
-        return bool(lam_mp - bound_mp <= mpmath.mpf("1e-30"))
+    margin = lambda_max_nontrivial(subset) - ramanujan_bound(subset)
+    return at_or_below(margin, sums_error_scale(subset), lambda: _margin_mp(subset))

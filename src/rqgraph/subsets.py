@@ -280,13 +280,19 @@ def extremal_subset(m: int, l1: int, l2: int, delta: int | None = None) -> Cayle
     if delta is not None and delta != parity:
         raise ValueError(f"delta={delta} inconsistent with parity of l={l}")
     delta = parity
+    half_window = check_split(m, l1, l2)
+    pair_bits = frozenset(range(half_window + 1, m))
+    ypair_bits = frozenset(range(l2 // 2, m))
+    return CayleySubset(m, pair_bits, delta, ypair_bits)
+
+
+def check_split(m: int, l1: int, l2: int) -> int:
+    """Half-width of the x-window of the split (l1, l2); ValueError unless both windows fit."""
     if l2 <= 0 or l2 % 2 or l2 >= 2 * m:
         raise ValueError(f"l2 must be even with 0 < l2 < 2m, got l2={l2}, m={m}")
     if not 0 < l1 <= 2 * m:
         raise ValueError(f"l1 must satisfy 0 < l1 <= 2m, got l1={l1}, m={m}")
-    half_window = (l1 - 2 + delta) // 2
+    half_window = (l1 - 2 + l1 % 2) // 2
     if half_window > m - 1:
         raise ValueError(f"x-window {half_window} does not fit for m={m} (need <= m-1)")
-    pair_bits = frozenset(range(half_window + 1, m))
-    ypair_bits = frozenset(range(l2 // 2, m))
-    return CayleySubset(m, pair_bits, delta, ypair_bits)
+    return half_window

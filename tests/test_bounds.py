@@ -12,7 +12,6 @@ from rqgraph.bounds import (
     exact_safe_covalency,
     extremal_mu2,
     interpolated_gap,
-    interpolated_gap_sign,
     is_exceptional_spectral,
     maximizing_split,
     ramanujan_bound_at,
@@ -146,13 +145,12 @@ def test_is_exceptional_spectral_examples():
 def test_interpolated_gap_signs():
     assert interpolated_gap(6, 4, 1) < 0          # p = 67 is exceptional
     assert interpolated_gap(0, -5, 2) > 0         # p = 157 is ordinary
-    assert interpolated_gap_sign(6, 4, 1) == -1
-    assert interpolated_gap_sign(0, -5, 2) == 1
     # double and extended precision agree away from ties
     for (r, c, k) in ((6, 4, 1), (0, -5, 2), (9, 7, 3), (23, 41, 5)):
         a = interpolated_gap(r, c, k)
-        b = interpolated_gap(r, c, k, use_mp=True)
-        assert a == pytest.approx(b, abs=1e-9)
+        with mpmath.workdps(50):
+            b = bounds._gap_mp(r, c, k)
+        assert a == pytest.approx(float(b), abs=1e-9)
     with pytest.raises(ValueError):
         interpolated_gap(24, 0, 1)
     with pytest.raises(ValueError):
@@ -182,23 +180,6 @@ def test_interpolated_gap_array_matches_scalar_calls():
         interpolated_gap(0, -5, 1 << 29)
 
 
-def test_interpolated_gap_sign_decides_on_the_mpf(monkeypatch):
-    """A near-zero double is re-decided in mpmath, by the mpf's own sign."""
-    seen = []
-
-    def tiny_mp_gap(r, c, k):
-        seen.append((r, c, k))
-        return mpmath.mpf("-1e-400")    # rounds to -0.0 as a double
-
-    monkeypatch.setattr(bounds, "interpolated_gap", lambda r, c, k: 1e-12)
-    monkeypatch.setattr(bounds, "_gap_mp", tiny_mp_gap)
-    assert interpolated_gap_sign(6, 4, 3) == -1
-    assert seen == [(6, 4, 3)]
-    monkeypatch.setattr(bounds, "interpolated_gap", lambda r, c, k: 2e-9)
-    assert interpolated_gap_sign(6, 4, 3) == 1
-    assert seen == [(6, 4, 3)]
-
-
 def test_broken_shift_table_is_caught(monkeypatch):
     broken = np.array([0, 2, 4, 0, 2, 0])      # residue 5 loses its -2
     monkeypatch.setattr(bounds, "_SHIFTS", broken)
@@ -219,6 +200,46 @@ def test_gap_sign_matches_spectral_margin_at_primes():
         v = is_exceptional_spectral(p)
         margin = v.witness["mu2_abs"] - v.witness["ramanujan_bound"]
         assert (interpolated_gap(r, c, k) < 0) == (margin < 0) == v.exceptional
+
+
+def _sampled_primes(lo, count, rng):
+    """count primes from [lo, 2 lo), each the first prime after a random start."""
+    from rqgraph.primes import is_prime
+
+    out = []
+    while len(out) < count:
+        p = rng.randrange(lo, 2 * lo) | 1
+        while not is_prime(p):
+            p += 2
+        out.append(p)
+    return out
+
+
+def test_gap_error_is_under_its_stated_bound():
+    """|double - mpf| of the closed-form margin and of the interpolated gap stays
+    under EPS * gap_error_scale(t), for primes near 1e10 .. 1e17."""
+    import random
+
+    from rqgraph.primes import window_coordinates
+    from rqgraph.spectra import EPS
+
+    rng = random.Random(5)
+    worst = 0.0
+    for e in range(10, 18):
+        for p in _sampled_primes(10**e, 4, rng):
+            l = trivial_bound(p) + 1
+            split = maximizing_split(l)
+            bound = EPS * bounds.gap_error_scale(p)
+            with mpmath.workdps(50):
+                exact = bounds._gap(mpmath, p, l, split.l1, split.l2)
+                r, c, k = window_coordinates(p)
+                assert bounds._gap_mp(r, c, k) == exact
+            for double in (extremal_mu2(p, split.l1, split.l2) - ramanujan_bound_at(p, l),
+                           interpolated_gap(r, c, k)):
+                err = abs(double - exact)
+                assert err <= bound, (p, err, bound)
+                worst = max(worst, err / bound)
+    assert worst > 1e-3     # the sampled errors are not all vanishingly small
 
 
 def test_asymptotic_coefficient():

@@ -52,18 +52,18 @@ def test_spectrum_evaluates_each_block_once(capsys, monkeypatch):
     from rqgraph import spectra
 
     calls = []
-    original = spectra.two_dim_eigenvalues
+    original = spectra._block
 
-    def counting(subset, j):
-        calls.append(j)
-        return original(subset, j)
+    def counting(xp, subset, j):
+        calls.append((xp.__name__, j))
+        return original(xp, subset, j)
 
-    monkeypatch.setattr(spectra, "two_dim_eigenvalues", counting)
+    monkeypatch.setattr(spectra, "_block", counting)
     spectra._raw_values.cache_clear()
     code, out = run(capsys, ["spectrum", "--subset", "m=12;pairs=1,5,7;delta=1;ypairs=0,3,11"])
     assert code == 0
     assert json.loads(out)["results"]["degree"] == 13
-    assert sorted(calls) == list(range(1, 12))
+    assert sorted(calls) == [("math", j) for j in range(1, 12)]
 
 
 def test_cli_bad_input_is_a_clean_error(capsys):
@@ -96,9 +96,9 @@ def test_lbound_exact_and_closed_form(capsys):
     assert res["trivial_bound"] == 6
     assert res["matches_trivial_bound"] is True
 
-    code, out = run(capsys, ["lbound", "--m", "63", "--closed-form"])
+    code, out = run(capsys, ["lbound", "--m", "63"])
     assert code == 0
-    assert json.loads(out)["results"]["trivial_bound"] == 29
+    assert json.loads(out)["results"] == {"family": "s", "m": 63, "trivial_bound": 29}
 
     code, out = run(capsys, ["lbound", "--m", "4", "--family", "sprime", "--exact"])
     assert json.loads(out)["results"]["exact_safe_covalency"] == 6

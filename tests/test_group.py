@@ -112,6 +112,30 @@ def test_group_size_guard():
         generates({GroupElement(1, 0), GroupElement(0, 1)}, MAX_TABLE_ORDER // 4 + 1)
 
 
+def test_cayley_table_matches_multiply():
+    """The table, one evaluation of the group law on index arrays, equals
+    scalar multiply on every pair for m <= 12, and on sampled pairs at the
+    size cap, where the int16 intermediates come closest to overflowing."""
+    import random
+
+    from rqgraph.group import MAX_TABLE_ORDER, all_elements, cayley_table, element_index
+
+    for m in range(1, 13):
+        elems = all_elements(m)
+        expected = [element_index(multiply(g, h, m), m) for g in elems for h in elems]
+        table = cayley_table(m)
+        assert table.readonly and table.format == "H"
+        assert table.tolist() == expected, m
+    m = MAX_TABLE_ORDER // 4
+    elems = all_elements(m)
+    table = cayley_table(m)
+    rng = random.Random(0)
+    for i, j in [(4 * m - 1, 4 * m - 1), (2 * m - 1, 4 * m - 1)] + [
+        (rng.randrange(4 * m), rng.randrange(4 * m)) for _ in range(2000)
+    ]:
+        assert table[4 * m * i + j] == element_index(multiply(elems[i], elems[j], m), m), (i, j)
+
+
 @pytest.mark.parametrize("m", range(1, 9))
 def test_generates_fast_matches_bfs_closure(m):
     # gcd characterization == BFS closure for every symmetric subset

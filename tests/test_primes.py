@@ -5,8 +5,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from rqgraph import bounds, primes
-from rqgraph.bounds import interpolated_gap, interpolated_gap_sign, trivial_bound
+from rqgraph import primes
+from rqgraph.bounds import _gap_mp, gap_error_scale, interpolated_gap, trivial_bound
+from rqgraph.spectra import TIE_TOL, at_or_below
 from rqgraph.primes import (
     THRESHOLD_SCAN_HORIZON,
     all_families,
@@ -114,17 +115,27 @@ def test_irreducibility_filter_details():
     assert 1 not in allowed1
 
 
+def _gap_at_or_below(r, c, k, scale):
+    """The near-tie rule on the interpolated gap at one k."""
+    return at_or_below(interpolated_gap(r, c, k), scale, lambda: _gap_mp(r, c, k))
+
+
+def _scan_scale(r, c):
+    """The derivation's error scale: that of the largest f(k) in the scan."""
+    k = THRESHOLD_SCAN_HORIZON
+    return gap_error_scale(36 * k * k + 3 * (r + 3) * k + c)
+
+
 def test_derive_k_threshold_is_the_gap_switch_point():
     """Self-consistency: the threshold is the first k passing both conditions."""
-    from rqgraph.bounds import interpolated_gap_sign
-
     for (r, c) in ((6, 4), (9, 7), (0, -5), (16, 17), (23, 37)):
         k0 = derive_k_threshold(r, c)
+        scale = _scan_scale(r, c)
         assert 36 * k0 * k0 + 3 * (r + 3) * k0 + c >= 67
-        assert interpolated_gap_sign(r, c, k0) < 0
+        assert _gap_at_or_below(r, c, k0, scale)
         if k0 > 1:
             value = 36 * (k0 - 1) ** 2 + 3 * (r + 3) * (k0 - 1) + c
-            assert value < 67 or interpolated_gap_sign(r, c, k0 - 1) > 0
+            assert value < 67 or not _gap_at_or_below(r, c, k0 - 1, scale)
     with pytest.raises(ValueError):
         derive_k_threshold(0, -3)
 
@@ -137,14 +148,15 @@ def test_derive_k_threshold_spot_values():
 
 
 def _threshold_by_loop(r, c):
-    """The per-k scan: first k where f(k) >= 67 and the gap is negative, which
-    must then hold up to the horizon.  Gap values come from one array call
-    (pinned to scalar calls in test_bounds); near-zero ones go through
-    interpolated_gap_sign."""
+    """The per-k scan: first k where f(k) >= 67 and the gap is at or below 0,
+    which must then hold up to the horizon.  Gap values come from one array
+    call (pinned to scalar calls in test_bounds); every one goes through the
+    near-tie rule."""
     gaps = interpolated_gap(r, c, np.arange(1, THRESHOLD_SCAN_HORIZON + 1)).tolist()
+    scale = _scan_scale(r, c)
     threshold = None
     for k, g in enumerate(gaps, start=1):
-        negative = interpolated_gap_sign(r, c, k) < 0 if abs(g) < 1e-9 else g < 0
+        negative = at_or_below(g, scale, lambda: _gap_mp(r, c, k))
         holds = 36 * k * k + 3 * (r + 3) * k + c >= 67 and negative
         if threshold is None:
             if holds:
@@ -195,25 +207,29 @@ def test_threshold_premise_checks_still_raise(monkeypatch):
 
 
 def test_threshold_near_zero_gap_is_decided_in_mpmath(monkeypatch):
-    """A gap under 1e-9 in magnitude is decided by the mpf, not by its double."""
-    fake = _fake_gap({1: 1.0, 2: 1.0, 3: 1e-12})
+    """A gap inside the near-tie window is decided by the mpf, not by its
+    double; gaps outside the window (2e-6 here) never reach mpmath."""
+    fake = _fake_gap({1: 1.0, 2: 2e-6, 3: 1e-12, 5: -2e-6})
     monkeypatch.setattr(primes, "interpolated_gap", fake)
-    monkeypatch.setattr(bounds, "interpolated_gap", fake)
     escalated = []
 
     def mp_gap(r, c, k):
         escalated.append(k)
         return mpmath.mpf(-1) if k == 3 else mpmath.mpf(1)
 
-    monkeypatch.setattr(bounds, "_gap_mp", mp_gap)
+    monkeypatch.setattr(primes, "_gap_mp", mp_gap)
     assert derive_k_threshold.__wrapped__(6, 4) == 3
     assert escalated == [3]
     fake = _fake_gap({1: 1.0, 2: 1.0, 4: -1e-12})
     monkeypatch.setattr(primes, "interpolated_gap", fake)
-    monkeypatch.setattr(bounds, "interpolated_gap", fake)
     with pytest.raises(ArithmeticError, match="broke at k=4 after first holding at k=3"):
         derive_k_threshold.__wrapped__(6, 4)
     assert escalated == [3, 4]
+    # decided on the mpf: just above TIE_TOL is above, though its double is not
+    fake = _fake_gap({1: 1.0, 2: 1.0, 3: 1.0, 4: 1e-12})
+    monkeypatch.setattr(primes, "interpolated_gap", fake)
+    monkeypatch.setattr(primes, "_gap_mp", lambda r, c, k: mpmath.mpf(TIE_TOL) + mpmath.mpf("1e-55"))
+    assert derive_k_threshold.__wrapped__(6, 4) == 5
 
 
 def test_window_coordinates_roundtrip():

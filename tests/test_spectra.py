@@ -1,9 +1,15 @@
 import math
 import random
 
+import mpmath
+import numpy as np
 import pytest
 
+from rqgraph import spectra
 from rqgraph.spectra import (
+    EPS,
+    TIE_TOL,
+    at_or_below,
     full_spectrum,
     is_ramanujan,
     lambda_max_nontrivial,
@@ -169,3 +175,88 @@ def test_eigenvalue_bound_by_covalency_exhaustive():
                 if abs(abs(v) - deg) <= 1e-9:
                     continue
                 assert abs(v) <= l + 1e-9, (subset.literal(), v)
+
+
+def test_float_and_mp_character_sums_agree():
+    """The one block formula gives the same sums in math and in mpmath."""
+    rng = random.Random(3)
+    cases = [full_subset(7), COCKTAIL] + [
+        random_subset(m, rng.randrange(1, 2 * m), rng, "s") for m in (2, 5, 12, 31, 64) for _ in range(4)
+    ]
+    for s in cases:
+        for j in range(1, s.m):
+            z, w = spectra._block(math, s, j)
+            ev = two_dim_eigenvalues(s, j)
+            assert (z, w) == (ev.diag, ev.offdiag_abs)
+            with mpmath.workdps(50):
+                z_mp, w_mp = spectra._block(mpmath, s, j)
+            assert abs(z - z_mp) <= 1e-12 and abs(w - w_mp) <= 1e-12, (s.literal(), j)
+            if j % 2:
+                assert w == 0.0 and math.copysign(1.0, w) == 1.0 and w_mp == 0
+
+
+def test_character_sum_error_is_under_its_stated_bound():
+    """|double - mpf| of every block eigenvalue, and of the Ramanujan margin,
+    stays under EPS * sums_error_scale, the scale is_ramanujan hands the rule."""
+    rng = random.Random(11)
+    m = 500
+    for l in (1800, 1950, 1990):
+        s = random_subset(m, l, rng, "s")
+        bound = EPS * spectra.sums_error_scale(s)
+        with mpmath.workdps(50):
+            for j in range(1, m):
+                ev = two_dim_eigenvalues(s, j)
+                z, w = spectra._block(mpmath, s, j)
+                assert abs(ev.plus - (z + w)) <= bound and abs(ev.minus - (z - w)) <= bound
+            exact = spectra._margin_mp(s)
+        margin = lambda_max_nontrivial(s) - ramanujan_bound(s)
+        assert abs(margin - exact) <= bound, (l, float(margin - exact), bound)
+
+
+# An exact tie: lambda = 10 = 2 sqrt(25) at |S| = 26, mpf margin about +2e-50.
+M9_TIE = parse_subset_literal("m=9;pairs=1,2,4,5,7,8;delta=0;ypairs=0,1,2,3,5,6,8")
+
+
+def test_exact_tie_is_ramanujan():
+    """The tie is at or below the bound by the rule and by a dense eigensolve;
+    a bare `<= 0` on the mpf margin would call it non-Ramanujan."""
+    from rqgraph.dense import adjacency_matrix, symmetric_eigenvalues
+
+    s = M9_TIE
+    assert (s.size, s.covalency()) == (26, 10)
+    with mpmath.workdps(50):
+        exact = spectra._margin_mp(s)
+    assert 0 < exact <= TIE_TOL
+    assert is_ramanujan(s)
+    dense = np.array(symmetric_eigenvalues(adjacency_matrix(s)))
+    interior = dense[np.abs(np.abs(dense) - s.size) > 1e-9]
+    assert abs(np.max(np.abs(interior)) - 10) < 1e-9
+
+
+def test_near_tie_rule_decides_on_the_mpf():
+    """Inside the window the mpf decides, by its own value and not its double;
+    outside it the double decides and mpmath is never called."""
+    seen = []
+
+    def exact(value):
+        def thunk():
+            seen.append(mpmath.mp.dps)
+            return mpmath.mpf(value)
+        return thunk
+
+    with mpmath.workdps(50):
+        just_above = mpmath.mpf(TIE_TOL) + mpmath.mpf("1e-55")   # its double is TIE_TOL
+    assert float(just_above) <= TIE_TOL
+    assert not at_or_below(1e-12, 1.0, lambda: just_above)
+    assert at_or_below(1e-12, 1.0, exact("-1e-400"))            # its double is -0.0
+    assert at_or_below(-1e-12, 1.0, exact("1e-40"))            # a tie
+    assert not at_or_below(-1e-12, 1.0, exact("1e-20"))
+    assert seen == [spectra._MP_DPS] * 3
+    assert at_or_below(-2e-6, 1.0, exact("1"))                  # outside: the double decides
+    assert not at_or_below(2e-6, 1.0, exact("-1"))
+    assert seen == [spectra._MP_DPS] * 3
+    # the window widens with the error scale: EPS * 1e11 is about 2.2e-5
+    assert spectra.tie_window(1.0) == spectra.NEAR_TIE_MARGIN
+    assert spectra.tie_window(1e11) == EPS * 1e11
+    assert at_or_below(1e-5, 1e11, exact("-1"))
+    assert len(seen) == 4
