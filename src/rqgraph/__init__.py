@@ -16,7 +16,7 @@ Q_{4m} = <x, y | x^(2m) = 1, x^m = y^2, y^-1 x y = x^-1>:
 
 __version__ = "0.1.0"
 
-from .group import GroupElement, conjugacy_classes, generates, inverse, multiply
+from .group import GroupElement, generates, inverse, multiply
 from .subsets import (
     CayleySubset,
     CovalencyProfile,
@@ -36,12 +36,11 @@ from .spectra import (
     ramanujan_bound,
     two_dim_eigenvalues,
 )
-from .dense import adjacency_matrix, spectra_match, symmetric_eigenvalues
+from .dense import adjacency_matrix, oracle_max_delta, symmetric_eigenvalues
 from .bounds import (
     ExceptionalVerdict,
     SplitProfile,
     asymptotic_coefficient,
-    critical_lambda,
     exact_safe_covalency,
     extremal_mu2,
     interpolated_gap,
@@ -67,7 +66,6 @@ __all__ = [
     "GroupElement",
     "multiply",
     "inverse",
-    "conjugacy_classes",
     "generates",
     "CayleySubset",
     "CovalencyProfile",
@@ -86,13 +84,12 @@ __all__ = [
     "is_ramanujan",
     "adjacency_matrix",
     "symmetric_eigenvalues",
-    "spectra_match",
+    "oracle_max_delta",
     "trivial_bound",
     "exact_safe_covalency",
     "extremal_mu2",
     "maximizing_split",
     "SplitProfile",
-    "critical_lambda",
     "is_exceptional_spectral",
     "interpolated_gap",
     "asymptotic_coefficient",

@@ -136,17 +136,6 @@ def maximizing_split(l: int) -> SplitProfile:
     return SplitProfile(l, r, a, l1, (2 * l - a) // 3)
 
 
-def critical_lambda(p: int) -> float:
-    """Largest non-trivial eigenvalue over the restricted family at covalency l0+1.
-
-    Only established for odd primes p >= 67; below that an error is raised
-    rather than guessing.
-    """
-    _check_scope(p, "spectral")
-    split = maximizing_split(trivial_bound(p) + 1)
-    return extremal_mu2(p, split.l1, split.l2)
-
-
 def _check_scope(p: int, route: str) -> None:
     """ValueError unless p is an odd prime >= MIN_EXCEPTIONAL_PRIME, the scope of both routes."""
     from .primes import is_prime

@@ -46,8 +46,8 @@ def symmetric_eigenvalues_batch(batch: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(a)[:, ::-1]
 
 
-def spectra_match(subset: CayleySubset, tol: float = 1e-8) -> bool:
-    """Formula spectrum == dense eigensolver spectrum, as sorted lists, elementwise."""
-    formula = np.array(sorted(full_spectrum(subset).values))
-    dense = np.array(sorted(symmetric_eigenvalues(adjacency_matrix(subset))))
-    return bool(np.max(np.abs(formula - dense)) <= tol)
+def oracle_max_delta(subset: CayleySubset) -> float:
+    """max |a - b| over the sorted formula spectrum and the sorted dense spectrum of X(S)."""
+    formula = sorted(full_spectrum(subset).values)
+    dense = sorted(symmetric_eigenvalues(adjacency_matrix(subset)))
+    return max(abs(a - b) for a, b in zip(formula, dense))

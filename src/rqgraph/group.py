@@ -17,6 +17,8 @@ import numpy as np
 MAX_M = 1 << 20
 # Largest group order with a Cayley table: (4m)^2 uint16 entries, 32 MiB.
 MAX_TABLE_ORDER = 4096
+# Entries of the Cayley table computed per block of rows.
+_TABLE_BLOCK = 1 << 18
 
 
 class GroupElement(NamedTuple):
@@ -73,38 +75,28 @@ def inverse(g: GroupElement, m: int) -> GroupElement:
     return GroupElement((m + g.k) % n, 1)
 
 
-def conjugacy_classes(m: int) -> list[frozenset[GroupElement]]:
-    """The m + 3 conjugacy classes, as a partition of the group.
-
-    Classes: {1}, {x^k, x^(2m-k)} for 1 <= k <= m-1, {x^m}, the even-exponent
-    half of <x>y, and the odd-exponent half of <x>y.
-    """
-    _check_m(m)
-    n = 2 * m
-    classes = [frozenset({IDENTITY})]
-    for k in range(1, m):
-        classes.append(frozenset({GroupElement(k, 0), GroupElement(n - k, 0)}))
-    classes.append(frozenset({GroupElement(m, 0)}))
-    classes.append(frozenset(GroupElement(2 * k, 1) for k in range(m)))
-    classes.append(frozenset(GroupElement((2 * k + 1) % n, 1) for k in range(m)))
-    return classes
-
-
 @lru_cache(maxsize=1)
 def cayley_table(m: int) -> memoryview:
     """Read-only flat Cayley table: entry 4m * i + j is the index of g_i * g_j.
 
-    Indices are positions in `all_elements(m)`.  One call of `multiply` on
-    index arrays, so the group law keeps a single definition; uint16 holds
-    every index below MAX_TABLE_ORDER.  Only the latest m is cached: callers
-    work one m at a time.
+    Indices are positions in `all_elements(m)`.  Filled in blocks of rows,
+    each one call of `multiply` on index arrays, so the group law keeps a
+    single definition and the temporaries stay near _TABLE_BLOCK entries;
+    uint16 holds every index below MAX_TABLE_ORDER.  Only the latest m is
+    cached: callers work one m at a time.
     """
     _check_m(m)
-    if 4 * m > MAX_TABLE_ORDER:
-        raise ValueError(f"Cayley table capped at {MAX_TABLE_ORDER} elements, got 4m={4 * m}")
-    e, k = np.divmod(np.arange(4 * m, dtype=np.int16), 2 * m)    # |products| <= 5m fit int16
-    product = multiply(GroupElement(k[:, None], e[:, None]), GroupElement(k, e), m)
-    return memoryview(element_index(product, m).astype(np.uint16).ravel()).toreadonly()
+    order = 4 * m
+    if order > MAX_TABLE_ORDER:
+        raise ValueError(f"Cayley table capped at {MAX_TABLE_ORDER} elements, got 4m={order}")
+    e, k = np.divmod(np.arange(order, dtype=np.int16), 2 * m)    # |products| <= 5m fit int16
+    table = np.empty((order, order), dtype=np.uint16)
+    rows = max(1, _TABLE_BLOCK // order)
+    for i in range(0, order, rows):
+        block = slice(i, i + rows)
+        product = multiply(GroupElement(k[block, None], e[block, None]), GroupElement(k, e), m)
+        table[block] = element_index(product, m)
+    return memoryview(table.ravel()).toreadonly()
 
 
 def generates(subset: Iterable[GroupElement], m: int) -> bool:

@@ -132,27 +132,18 @@ def _is_square(n: int) -> bool:
     return root * root == n
 
 
-def _is_irreducible(r: int, c: int) -> bool:
-    """Irreducibility of 36 x^2 + 3(r+3) x + c over the integers.
-
-    Fails either through a common factor of the coefficients or through a
-    square discriminant (rational roots); both make every large value
-    composite.
-    """
-    if c == 0:
-        return False
-    if math.gcd(math.gcd(36, 3 * (r + 3)), c) != 1:
-        return False
-    return not _is_square((r + 3) ** 2 - 16 * c)
-
-
 def candidate_constants(r: int) -> tuple[list[int], list[int]]:
-    """The six sliding constants for residue r, and the irreducible survivors."""
+    """The six sliding constants for residue r, and the survivors.
+
+    c survives when 36 x^2 + 3(r+3) x + c is `hardy_littlewood_admissible`:
+    coprime coefficients and a non-square discriminant, so it is irreducible
+    over the integers and its large values are not all composite.
+    """
     if not 0 <= r <= 23:
         raise ValueError(f"r must be in [0, 23], got {r}")
     top = (r + 3) ** 2 // 16
     candidates = [top + s for s in range(-5, 1)]
-    return candidates, [c for c in candidates if _is_irreducible(r, c)]
+    return candidates, [c for c in candidates if hardy_littlewood_admissible(36, 3 * (r + 3), c)]
 
 
 @lru_cache(maxsize=None)

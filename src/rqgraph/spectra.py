@@ -95,7 +95,11 @@ def _block(xp, subset: CayleySubset, j: int):
 
 
 def mu_abs(subset: CayleySubset, j: int) -> float:
-    """max(|mu_j^+|, |mu_j^-|), which equals |z_j| + |w_j|."""
+    """max(|mu_j^+|, |mu_j^-|), which equals |z_j| + |w_j|.
+
+    Called by tests only: it is the per-subset reference that the closed
+    form `bounds.extremal_mu2` is checked against.
+    """
     ev = two_dim_eigenvalues(subset, j)
     return max(abs(ev.plus), abs(ev.minus))
 

@@ -13,8 +13,8 @@ enumeration all O(1)-per-block, with no element sets materialized.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterator
 
 from .group import GroupElement, generates_fast
@@ -183,67 +183,31 @@ def covalency_splits(m: int, l: int, family: str) -> list[tuple[int, int]]:
     return sorted(out)
 
 
-def _masks_with_popcount(nbits: int, popcount: int) -> Iterator[int]:
-    """All nbits-wide masks of given popcount, in ascending integer order."""
-    if popcount == 0:
-        yield 0
-        return
-    if popcount > nbits:
-        return
-    v = (1 << popcount) - 1
-    top = 1 << nbits
-    while v < top:
-        yield v
-        # Gosper's hack: next larger integer with the same popcount.
-        c = v & -v
-        r = v + c
-        v = (((r ^ v) >> 2) // c) | r
+def split_sizes(m: int, l1: int, l2: int) -> tuple[int, int, int]:
+    """(delta, n_pairs, n_ypairs) of the block S_{l1,l2}: delta is forced by l1's parity.
 
-
-def _bits(mask: int) -> frozenset[int]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return frozenset(out)
-
-
-def _block_stream(m: int, l1: int, l2: int) -> Iterator[tuple[int, int, int]]:
-    """Stream (pair_mask, delta, ypair_mask) keys for the block S_{l1,l2}.
-
-    pair_mask bit (k1 - 1) encodes pair k1; ypair_mask bit k2 encodes
-    y-pair k2.  delta is forced by l1's parity.
+    For every split that `covalency_splits` returns, 0 <= n_pairs <= m - 1
+    and 1 <= n_ypairs <= m.
     """
     delta = l1 % 2
-    twice_pairs = 2 * m - l1 - delta
-    if twice_pairs < 0 or twice_pairs % 2:
-        return
-    n_pairs = twice_pairs // 2
-    n_ypairs = (2 * m - l2) // 2
-    if n_pairs > m - 1 or n_ypairs > m:
-        return
-    for pair_mask in _masks_with_popcount(m - 1, n_pairs):
-        for ypair_mask in _masks_with_popcount(m, n_ypairs):
-            yield (pair_mask, delta, ypair_mask)
+    return delta, m - (l1 + delta) // 2, m - l2 // 2
 
 
 def enumerate_family(m: int, l: int, family: str = FAMILY_ALL) -> Iterator[CayleySubset]:
     """All generating subsets with covalency l, lazily.
 
-    Order is ascending on (pair_mask, delta, ypair_mask), so golden tests are
-    stable.  The stream is empty when l is not an achievable covalency.
+    Order: by ascending l1 (the splits of `covalency_splits`), then by the
+    sorted pair indices, then by the sorted y-pair indices, both
+    lexicographic.  The stream is empty when l is not an achievable covalency.
     """
     if not 1 <= l < 4 * m:
         raise ValueError(f"covalency must satisfy 1 <= l < 4m, got l={l}, m={m}")
-    streams = [_block_stream(m, l1, l2) for (l1, l2) in covalency_splits(m, l, family)]
-    for pair_mask, delta, ypair_mask in heapq.merge(*streams):
-        pair_bits = frozenset(k + 1 for k in _bits(pair_mask))
-        ypair_bits = _bits(ypair_mask)
-        if generates_fast(m, pair_bits, ypair_bits):
-            yield CayleySubset(m, pair_bits, delta, ypair_bits)
+    for l1, l2 in covalency_splits(m, l, family):
+        delta, n_pairs, n_ypairs = split_sizes(m, l1, l2)
+        for pairs in combinations(range(1, m), n_pairs):
+            for ypairs in combinations(range(m), n_ypairs):
+                if generates_fast(m, pairs, ypairs):
+                    yield CayleySubset(m, frozenset(pairs), delta, frozenset(ypairs))
 
 
 def random_subset(m: int, l: int, rng, family: str = FAMILY_NONFULL_YCOSET) -> CayleySubset:
@@ -253,11 +217,7 @@ def random_subset(m: int, l: int, rng, family: str = FAMILY_NONFULL_YCOSET) -> C
         raise ValueError(f"no admissible (l1, l2) split for m={m}, l={l}, family={family}")
     while True:
         l1, l2 = splits[rng.randrange(len(splits))]
-        delta = l1 % 2
-        n_pairs = (2 * m - l1 - delta) // 2
-        n_ypairs = (2 * m - l2) // 2
-        if n_pairs > m - 1 or n_ypairs > m:
-            continue
+        delta, n_pairs, n_ypairs = split_sizes(m, l1, l2)
         pair_bits = frozenset(rng.sample(range(1, m), n_pairs))
         ypair_bits = frozenset(rng.sample(range(m), n_ypairs))
         if generates_fast(m, pair_bits, ypair_bits):

@@ -16,7 +16,6 @@ import numpy as np
 
 from rqgraph.bounds import (
     asymptotic_coefficient,
-    critical_lambda,
     exact_safe_covalency,
     extremal_mu2,
     interpolated_gap,
@@ -335,8 +334,9 @@ def test_criterion_11_property_suites():
     # randomized dominance of the critical eigenvalue at covalency l0 + 1
     rng = random.Random(424242)
     for p in (67, 71, 73):
-        bound = critical_lambda(p)
         l = trivial_bound(p) + 1
+        split = maximizing_split(l)
+        bound = extremal_mu2(p, split.l1, split.l2)
         for _ in range(1000):
             s = random_subset(p, l, rng, "sprime")
             if lambda_max_nontrivial(s) > bound + 1e-9:

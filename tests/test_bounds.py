@@ -8,7 +8,6 @@ from rqgraph import bounds
 from rqgraph.bounds import (
     SPLIT_SHIFT,
     asymptotic_coefficient,
-    critical_lambda,
     exact_safe_covalency,
     extremal_mu2,
     interpolated_gap,
@@ -117,19 +116,19 @@ def test_critical_lambda_profiles():
     # l0(67) = 30 -> covalency 31 peaks at split (11, 20)
     sp = maximizing_split(trivial_bound(67) + 1)
     assert (sp.l1, sp.l2) == (11, 20)
-    assert critical_lambda(67) == pytest.approx(extremal_mu2(67, 11, 20), abs=0)
+    assert is_exceptional_spectral(67).witness["mu2_abs"] == extremal_mu2(67, sp.l1, sp.l2)
     # l0(151) = 47 -> covalency 48 peaks at split (16, 32)
     sp = maximizing_split(trivial_bound(151) + 1)
     assert (sp.l1, sp.l2) == (16, 32)
 
 
-def test_critical_lambda_scope_errors():
-    with pytest.raises(ValueError):
-        critical_lambda(61)  # below the established threshold
-    with pytest.raises(ValueError):
-        critical_lambda(69)  # not prime
-    with pytest.raises(ValueError):
-        critical_lambda(68)
+def test_is_exceptional_spectral_scope_errors():
+    with pytest.raises(ValueError, match="out of theorem scope"):
+        is_exceptional_spectral(61)  # below the established threshold
+    with pytest.raises(ValueError, match="odd prime"):
+        is_exceptional_spectral(69)  # not prime
+    with pytest.raises(ValueError, match="odd prime"):
+        is_exceptional_spectral(68)
 
 
 def test_is_exceptional_spectral_examples():

@@ -103,6 +103,14 @@ def test_lbound_exact_and_closed_form(capsys):
     code, out = run(capsys, ["lbound", "--m", "4", "--family", "sprime", "--exact"])
     assert json.loads(out)["results"]["exact_safe_covalency"] == 6
 
+    # a mismatch with the trivial bound is data, not a failed check
+    code, out = run(capsys, ["lbound", "--m", "5", "--family", "sprime", "--exact"])
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert (res["exact_safe_covalency"], res["trivial_bound"]) == (8, 6)
+    assert res["matches_trivial_bound"] is False
+    assert "failures" not in res
+
 
 def test_exceptional_both_routes(capsys):
     code, out = run(capsys, ["exceptional", "--p", "67", "--method", "both"])

@@ -6,7 +6,6 @@ from rqgraph.group import (
     IDENTITY,
     GroupElement,
     all_elements,
-    conjugacy_classes,
     generates,
     generates_fast,
     inverse,
@@ -55,12 +54,18 @@ def test_x_powers_form_cyclic_group():
             assert prod == GroupElement((a + b) % (2 * m), 0)
 
 
+def conjugation_orbits(m):
+    """The orbits of z under z -> g z g^-1, computed from `multiply` and `inverse`."""
+    els = all_elements(m)
+    return {frozenset(multiply(multiply(g, z, m), inverse(g, m), m) for g in els) for z in els}
+
+
 @pytest.mark.parametrize("m", range(1, 13))
 def test_conjugacy_classes_partition_and_sizes(m):
-    classes = conjugacy_classes(m)
+    # the class equation of the group law: m + 3 classes whose sizes divide 4m
+    classes = conjugation_orbits(m)
     assert len(classes) == m + 3
-    union = set().union(*classes)
-    assert union == set(all_elements(m))
+    assert set().union(*classes) == set(all_elements(m))
     assert sum(len(c) for c in classes) == 4 * m
     for c in classes:
         assert (4 * m) % len(c) == 0
@@ -68,20 +73,19 @@ def test_conjugacy_classes_partition_and_sizes(m):
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_conjugacy_classes_against_bruteforce(m):
-    # orbit of z under g z g^-1 over all g
-    els = all_elements(m)
-
-    def orbit(z):
-        return frozenset(multiply(multiply(g, z, m), inverse(g, m), m) for g in els)
-
-    expected = {orbit(z) for z in els}
-    assert set(map(frozenset, conjugacy_classes(m))) == expected
+    # the known classes of Q_{4m}: {1}, {x^k, x^(2m-k)} for 1 <= k <= m-1,
+    # {x^m}, and the even- and odd-exponent halves of <x>y
+    n = 2 * m
+    expected = {frozenset({IDENTITY}), frozenset({GroupElement(m, 0)})}
+    expected |= {frozenset({GroupElement(k, 0), GroupElement(n - k, 0)}) for k in range(1, m)}
+    expected |= {frozenset(GroupElement((2 * k + r) % n, 1) for k in range(m)) for r in (0, 1)}
+    assert conjugation_orbits(m) == expected
 
 
 def test_conjugacy_class_examples():
-    assert sorted(len(c) for c in conjugacy_classes(3)) == [1, 1, 2, 2, 3, 3]
-    assert sorted(len(c) for c in conjugacy_classes(1)) == [1, 1, 1, 1]
-    assert len(conjugacy_classes(5)) == 8
+    assert sorted(len(c) for c in conjugation_orbits(3)) == [1, 1, 2, 2, 3, 3]
+    assert sorted(len(c) for c in conjugation_orbits(1)) == [1, 1, 1, 1]
+    assert len(conjugation_orbits(5)) == 8
 
 
 def test_generates_examples():
@@ -106,7 +110,7 @@ def test_group_size_guard():
     with pytest.raises(ValueError):
         element(0, 0, MAX_M + 1)
     with pytest.raises(ValueError):
-        conjugacy_classes(0)
+        all_elements(0)
     # the BFS reads the Cayley table, which is capped
     with pytest.raises(ValueError):
         generates({GroupElement(1, 0), GroupElement(0, 1)}, MAX_TABLE_ORDER // 4 + 1)
@@ -134,6 +138,24 @@ def test_cayley_table_matches_multiply():
         (rng.randrange(4 * m), rng.randrange(4 * m)) for _ in range(2000)
     ]:
         assert table[4 * m * i + j] == element_index(multiply(elems[i], elems[j], m), m), (i, j)
+
+
+def test_cayley_table_build_memory_is_capped():
+    """The 32 MiB table at the size cap is built without full-size temporaries."""
+    import tracemalloc
+
+    from rqgraph.group import MAX_TABLE_ORDER, cayley_table
+
+    cayley_table.cache_clear()
+    tracemalloc.start()
+    try:
+        table = cayley_table(MAX_TABLE_ORDER // 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        cayley_table.cache_clear()
+    assert table.nbytes == 2 * MAX_TABLE_ORDER**2
+    assert peak < 48 * 2**20, peak
 
 
 @pytest.mark.parametrize("m", range(1, 9))

@@ -11,6 +11,7 @@ from rqgraph.subsets import (
     extremal_subset,
     full_subset,
     parse_subset_literal,
+    split_sizes,
 )
 from conftest import inverse_orbits, structural_subsets
 
@@ -111,25 +112,28 @@ def test_enumerate_family_examples():
 
 
 def test_enumeration_is_deterministic_and_ordered():
-    runs = [list(enumerate_family(5, 4, "s")) for _ in range(2)]
-    assert runs[0] == runs[1]
-
-    def mask_key(s):
-        pair_mask = sum(1 << (k - 1) for k in s.pair_bits)
-        ymask = sum(1 << k for k in s.ypair_bits)
-        return (pair_mask, s.delta, ymask)
-
-    keys = [mask_key(s) for s in runs[0]]
-    assert keys == sorted(keys)
+    """Ascending l1, then lexicographic sorted pairs, then lexicographic sorted y-pairs."""
+    for m, l, family in ((5, 4, "s"), (6, 7, "s"), (6, 9, "sprime")):
+        runs = [list(enumerate_family(m, l, family)) for _ in range(2)]
+        assert runs[0] == runs[1]
+        keys = [(s.profile().l1, sorted(s.pair_bits), sorted(s.ypair_bits)) for s in runs[0]]
+        assert all(a < b for a, b in zip(keys, keys[1:])), (m, l, family)
+        assert len({k[0] for k in keys}) > 1, (m, l, family)    # more than one split
 
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_enumeration_counts_against_orbit_bruteforce(m):
-    """Counts per covalency must match a from-scratch orbit-union enumeration."""
+    """The subsets per covalency, as literals, must match a from-scratch orbit-union enumeration."""
     orbits = inverse_orbits(m)
     assert len(orbits) == 2 * m
-    counts_all = collections.Counter()
-    counts_nonfull = collections.Counter()
+
+    def literal(els):
+        pairs = ",".join(str(k) for k in range(1, m) if GroupElement(k, 0) in els)
+        ypairs = ",".join(str(k) for k in range(m) if GroupElement(k, 1) in els)
+        return f"m={m};pairs={pairs};delta={int(GroupElement(m, 0) in els)};ypairs={ypairs}"
+
+    all_by_l = collections.defaultdict(set)
+    nonfull_by_l = collections.defaultdict(set)
     for mask in range(1 << len(orbits)):
         els = set()
         for i, orb in enumerate(orbits):
@@ -138,13 +142,15 @@ def test_enumeration_counts_against_orbit_bruteforce(m):
         if not els or not generates(els, m):
             continue
         l = 4 * m - len(els)
-        counts_all[l] += 1
+        all_by_l[l].add(literal(els))
         y_count = sum(1 for g in els if g.e == 1)
         if y_count != 2 * m:
-            counts_nonfull[l] += 1
+            nonfull_by_l[l].add(literal(els))
     for l in range(1, 4 * m):
-        assert len(list(enumerate_family(m, l, "s"))) == counts_all[l], (m, l)
-        assert len(list(enumerate_family(m, l, "sprime"))) == counts_nonfull[l], (m, l)
+        for family, expected in (("s", all_by_l[l]), ("sprime", nonfull_by_l[l])):
+            got = [s.literal() for s in enumerate_family(m, l, family)]
+            assert len(got) == len(set(got)), (m, l, family)
+            assert set(got) == expected, (m, l, family)
 
 
 @pytest.mark.parametrize("m", range(2, 7))
@@ -209,3 +215,10 @@ def test_covalency_splits():
     assert covalency_splits(3, 2, "sprime") == []
     with pytest.raises(ValueError):
         covalency_splits(3, 3, "bogus")
+    # every admissible split has block sizes that fit, so enumeration needs no guard
+    for m in range(1, 21):
+        for l in range(1, 4 * m):
+            for l1, l2 in covalency_splits(m, l, "s"):
+                delta, n_pairs, n_ypairs = split_sizes(m, l1, l2)
+                assert 0 <= n_pairs <= m - 1 and 1 <= n_ypairs <= m, (m, l1, l2)
+                assert 2 * n_pairs + delta + 2 * n_ypairs == 4 * m - l, (m, l1, l2)
