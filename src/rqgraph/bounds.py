@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import mpmath
 import numpy as np
@@ -19,22 +19,14 @@ import numpy as np
 from . import spectra
 from .subsets import FAMILY_ALL, check_split, enumerate_family
 
-# Index of the split-shift table is the covalency mod 6.
-SPLIT_SHIFT = {0: 0, 1: 2, 2: 4, 3: 0, 4: 2, 5: -2}
-_SHIFTS = np.array([SPLIT_SHIFT[i] for i in range(6)])
-
 EXACT_SCAN_MAX_M = 12
 MIN_EXCEPTIONAL_PRIME = 67     # theorem scope of both classification routes
 _MAX_GAP_K = 1 << 28    # keeps 36 k^2 + 3 (r + 3) k + c inside int64
 
 
-@dataclass(frozen=True)
-class SplitProfile:
+class SplitProfile(NamedTuple):
     """The covalency split (l1, l2) maximizing the closed-form eigenvalue."""
 
-    l: int
-    residue: int    # l mod 6
-    shift: int      # table entry for that residue
     l1: int
     l2: int
 
@@ -110,9 +102,9 @@ def _peak_mu2(xp, n, l1, l2):
     )
 
 
-def _gap(xp, n, l, l1, l2):
-    """Peak eigenvalue at the split (l1, l2) minus the Ramanujan bound at covalency l."""
-    return _peak_mu2(xp, n, l1, l2) - 2 * xp.sqrt(4 * n - l - 1)
+def _gap(xp, n, l):
+    """Peak eigenvalue at the maximizing split of covalency l minus the Ramanujan bound there."""
+    return _peak_mu2(xp, n, *maximizing_split(l)) - 2 * xp.sqrt(4 * n - l - 1)
 
 
 def gap_error_scale(t: int) -> float:
@@ -120,20 +112,17 @@ def gap_error_scale(t: int) -> float:
     return 64 * math.sqrt(t)
 
 
-def maximizing_split(l: int) -> SplitProfile:
+def maximizing_split(l: int | np.ndarray) -> SplitProfile:
     """The (l1, l2) split at which the closed-form eigenvalue peaks.
 
-    Determined by l mod 6 through a fixed shift table:
-    (l1, l2) = ((l + shift) / 3, (2l - shift) / 3).
+    l1 = (l + 2 (l mod 3)) // 3, less 2 when l = 5 (mod 6), and l2 = l - l1:
+    l1 is about l / 3, has the parity of l, and leaves l2 even.  l is an int
+    or an int64 array (arrays of l1 and l2 come back).
     """
-    if l < 3:
+    if (l < 3).any() if isinstance(l, np.ndarray) else l < 3:
         raise ValueError(f"no admissible split with positive l2 exists for l={l}")
-    r = l % 6
-    a = SPLIT_SHIFT[r]
-    l1, rem1 = divmod(l + a, 3)
-    if rem1:
-        raise AssertionError(f"shift table broken for l={l}")
-    return SplitProfile(l, r, a, l1, (2 * l - a) // 3)
+    l1 = (l + 2 * (l % 3)) // 3 - 2 * (l % 6 == 5)
+    return SplitProfile(l1, l - l1)
 
 
 def _check_scope(p: int, route: str) -> None:
@@ -159,11 +148,9 @@ def is_exceptional_spectral(p: int) -> ExceptionalVerdict:
     l0 = trivial_bound(p)
     l = l0 + 1
     split = maximizing_split(l)
-    lam = extremal_mu2(p, split.l1, split.l2)
+    lam = extremal_mu2(p, *split)
     bound = ramanujan_bound_at(p, l)
-    exceptional = spectra.at_or_below(
-        lam - bound, gap_error_scale(p), lambda: _gap(mpmath, p, l, split.l1, split.l2)
-    )
+    exceptional = spectra.at_or_below(lam - bound, gap_error_scale(p), lambda: _gap(mpmath, p, l))
     witness = {
         "l1": split.l1,
         "l2": split.l2,
@@ -184,24 +171,18 @@ def interpolated_gap(r: int, c: int, k: int | np.ndarray) -> float | np.ndarray:
     exceptionality margin whenever t is prime.  k is an int (a float comes
     back) or an int64 array (an array of gaps comes back, one numpy pass).
     """
-    t, l, l1, l2 = _gap_arguments(r, c, k)
-    g = _gap(np, t, l, l1, l2)
+    g = _gap(np, *_gap_arguments(r, c, k))
     return float(g) if g.ndim == 0 else g
 
 
 def _gap_arguments(r, c, k):
-    """(t, l, l1, l2) of the interpolated gap at k, an int or an int64 array."""
+    """(t, l) of the interpolated gap at k, an int or an int64 array."""
     if not 0 <= r <= 23:
         raise ValueError(f"family residue r must be in [0, 23], got {r}")
     k = np.asarray(k, dtype=np.int64)
     if np.any((k < 1) | (k > _MAX_GAP_K)):
         raise ValueError(f"k must be in [1, {_MAX_GAP_K}], got {k}")
-    l = 24 * k + r + 1
-    a = _SHIFTS[l % 6]      # maximizing_split, one lookup for every k
-    l1, rem = divmod(l + a, 3)
-    if rem.any():
-        raise AssertionError(f"shift table broken for l={np.extract(rem, l)}")
-    return 36 * k * k + 3 * (r + 3) * k + c, l, l1, (2 * l - a) // 3
+    return 36 * k * k + 3 * (r + 3) * k + c, 24 * k + r + 1
 
 
 def _gap_mp(r: int, c: int, k: int):

@@ -23,8 +23,9 @@ from .bounds import MIN_EXCEPTIONAL_PRIME, ExceptionalVerdict, _check_scope, _ga
 from .bounds import interpolated_gap, trivial_bound
 from .spectra import at_or_below, tie_window
 
-# Strong-pseudoprime witnesses proving primality for every n < 2^64.
+# Strong-pseudoprime witnesses proving primality for every n < _MR_LIMIT = 2^64.
 _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+_MR_LIMIT = 1 << 64
 
 # Product of odd primes up to 61; a single gcd screens most composites.
 _SMALL_PRIME_PRODUCT = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47 * 53 * 59 * 61
@@ -57,9 +58,11 @@ class FamilyReport:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, correct for all n < 2^64."""
+    """Deterministic Miller-Rabin, correct for all n < 2^64; ValueError from 2^64 on."""
     if n < 2:
         return False
+    if n >= _MR_LIMIT:
+        raise ValueError(f"primality is proven only below 2^64, got {n}")
     if n % 2 == 0:
         return n == 2
     if n < 3844:                        # 62^2: gcd screen is complete here
@@ -330,6 +333,8 @@ def scan_families(
 
     Results are returned in (r, c) order regardless of scheduling.
     """
+    if processes < 1:
+        raise ValueError(f"processes must be >= 1, got {processes}")
     if rows is None:
         rows = [(f.r, f.c) for f in all_families()]
     jobs = [(r, c, x_max) for (r, c) in sorted(rows)]

@@ -104,14 +104,22 @@ def mu_abs(subset: CayleySubset, j: int) -> float:
     return max(abs(ev.plus), abs(ev.minus))
 
 
+def _values(xp, subset: CayleySubset) -> list:
+    """The 4 linear eigenvalues, then z_j + |w_j| and z_j - |w_j| of each block j, in the module xp.
+
+    2m + 2 values: the spectrum as a set, each block value having multiplicity 2.
+    """
+    vals = list(one_dim_eigenvalues(subset))
+    for j in range(1, subset.m):
+        z, w = _block(xp, subset, j)
+        vals += (z + w, z - w)
+    return vals
+
+
 @lru_cache(maxsize=1)
 def _raw_values(subset: CayleySubset) -> tuple[float, ...]:
-    """The 4m eigenvalues, unsorted; cached for the latest subset only (callers go one at a time)."""
-    vals = [float(v) for v in one_dim_eigenvalues(subset)]
-    for j in range(1, subset.m):
-        z, w = _block(math, subset, j)
-        vals += (z + w, z + w, z - w, z - w)
-    return tuple(vals)
+    """`_values` in doubles; cached for the latest subset only (callers go one at a time)."""
+    return tuple(float(v) for v in _values(math, subset))
 
 
 def full_spectrum(subset: CayleySubset) -> Spectrum:
@@ -120,7 +128,8 @@ def full_spectrum(subset: CayleySubset) -> Spectrum:
     Values within 1e-9 of each other collapse into one multiplicity group;
     the raw list is kept for oracle comparisons.
     """
-    vals = sorted(_raw_values(subset), reverse=True)
+    raw = _raw_values(subset)
+    vals = sorted(raw[:4] + 2 * raw[4:], reverse=True)
     entries: list[tuple[float, int]] = []
     anchor = None
     for v in vals:
@@ -195,11 +204,7 @@ def sums_error_scale(subset: CayleySubset) -> float:
 
 def _margin_mp(subset: CayleySubset):
     """lambda(S) minus the Ramanujan bound, at mpmath's working precision."""
-    vals = list(one_dim_eigenvalues(subset))
-    for j in range(1, subset.m):
-        z, w = _block(mpmath, subset, j)
-        vals += (z + w, z - w)
-    return _interior_max(vals, subset.size) - 2 * mpmath.sqrt(subset.size - 1)
+    return _interior_max(_values(mpmath, subset), subset.size) - 2 * mpmath.sqrt(subset.size - 1)
 
 
 def is_ramanujan(subset: CayleySubset) -> bool:

@@ -22,6 +22,7 @@ from .group import GroupElement, generates_fast
 FAMILY_ALL = "s"
 FAMILY_NONFULL_YCOSET = "sprime"
 _FAMILIES = {FAMILY_ALL, FAMILY_NONFULL_YCOSET}
+_LITERAL_FIELDS = {"m", "pairs", "delta", "ypairs"}
 
 
 @dataclass(frozen=True)
@@ -141,9 +142,12 @@ def parse_subset_literal(text: str) -> CayleySubset:
         if key in fields:
             raise ValueError(f"duplicate field {key!r} in subset literal")
         fields[key] = value
-    missing = {"m", "pairs", "delta", "ypairs"} - fields.keys()
+    missing = _LITERAL_FIELDS - fields.keys()
     if missing:
         raise ValueError(f"subset literal missing fields: {sorted(missing)}")
+    unknown = fields.keys() - _LITERAL_FIELDS
+    if unknown:
+        raise ValueError(f"subset literal has unknown fields: {sorted(unknown)}")
 
     def int_list(value: str, name: str) -> list[int]:
         if value == "":
@@ -227,32 +231,23 @@ def random_subset(m: int, l: int, rng, family: str = FAMILY_NONFULL_YCOSET) -> C
 # -- extremal subsets ---------------------------------------------------------
 
 
-def extremal_subset(m: int, l1: int, l2: int, delta: int | None = None) -> CayleySubset:
+def extremal_subset(m: int, l1: int, l2: int) -> CayleySubset:
     """The window-extremal subset with covalency split (l1, l2).
 
     Removes from <x> the centered window {1, x^(+-1), ..., x^(+-(l1-2+delta)/2)}
     plus x^m when delta = 0, and from <x>y the aligned y-pair window
-    {y, ..., x^(l2/2 - 1) y} and its inverse half.  delta is the parity of
-    l = l1 + l2; passing it explicitly is allowed only for validation.
+    {y, ..., x^(l2/2 - 1) y} and its inverse half: it keeps the top n_pairs
+    pair indices and the top n_ypairs y-pair indices of `split_sizes`.
     """
-    l = l1 + l2
-    parity = l % 2
-    if delta is not None and delta != parity:
-        raise ValueError(f"delta={delta} inconsistent with parity of l={l}")
-    delta = parity
-    half_window = check_split(m, l1, l2)
-    pair_bits = frozenset(range(half_window + 1, m))
-    ypair_bits = frozenset(range(l2 // 2, m))
-    return CayleySubset(m, pair_bits, delta, ypair_bits)
+    check_split(m, l1, l2)
+    delta, n_pairs, n_ypairs = split_sizes(m, l1, l2)
+    pair_bits = frozenset(range(m - n_pairs, m))
+    return CayleySubset(m, pair_bits, delta, frozenset(range(m - n_ypairs, m)))
 
 
-def check_split(m: int, l1: int, l2: int) -> int:
-    """Half-width of the x-window of the split (l1, l2); ValueError unless both windows fit."""
+def check_split(m: int, l1: int, l2: int) -> None:
+    """ValueError unless (l1, l2) is a split with 0 < l1 <= 2m and even 0 < l2 < 2m."""
     if l2 <= 0 or l2 % 2 or l2 >= 2 * m:
         raise ValueError(f"l2 must be even with 0 < l2 < 2m, got l2={l2}, m={m}")
     if not 0 < l1 <= 2 * m:
         raise ValueError(f"l1 must satisfy 0 < l1 <= 2m, got l1={l1}, m={m}")
-    half_window = (l1 - 2 + l1 % 2) // 2
-    if half_window > m - 1:
-        raise ValueError(f"x-window {half_window} does not fit for m={m} (need <= m-1)")
-    return half_window

@@ -6,7 +6,6 @@ import pytest
 
 from rqgraph import bounds
 from rqgraph.bounds import (
-    SPLIT_SHIFT,
     asymptotic_coefficient,
     exact_safe_covalency,
     extremal_mu2,
@@ -78,9 +77,26 @@ def test_maximizing_split_examples():
     assert (maximizing_split(33).l1, maximizing_split(33).l2) == (11, 22)
     assert (maximizing_split(31).l1, maximizing_split(31).l2) == (11, 20)
     assert (maximizing_split(32).l1, maximizing_split(32).l2) == (12, 20)
-    assert SPLIT_SHIFT == {0: 0, 1: 2, 2: 4, 3: 0, 4: 2, 5: -2}
     with pytest.raises(ValueError):
         maximizing_split(2)
+
+
+def test_maximizing_split_per_residue_mod_6():
+    """One pinned split per l mod 6: l1 = (l + shift) / 3 with the shifts 0, 2, 4, 0, 2, -2."""
+    pinned = {30: (10, 20), 31: (11, 20), 32: (12, 20), 33: (11, 22), 34: (12, 22), 35: (11, 24)}
+    assert sorted(l % 6 for l in pinned) == list(range(6))
+    for l, split in pinned.items():
+        assert maximizing_split(l) == split, l
+
+
+def test_maximizing_split_array_matches_scalar_calls():
+    """The same arithmetic on an int64 array gives, value for value, the scalar splits."""
+    ls = np.arange(3, 10**5)
+    l1, l2 = maximizing_split(ls)
+    assert l1.dtype == l2.dtype == np.int64
+    assert list(zip(l1.tolist(), l2.tolist())) == [tuple(maximizing_split(l)) for l in range(3, 10**5)]
+    with pytest.raises(ValueError):
+        maximizing_split(np.array([5, 2, 7]))
 
 
 def test_maximizing_split_is_admissible_and_integral():
@@ -179,16 +195,6 @@ def test_interpolated_gap_array_matches_scalar_calls():
         interpolated_gap(0, -5, 1 << 29)
 
 
-def test_broken_shift_table_is_caught(monkeypatch):
-    broken = np.array([0, 2, 4, 0, 2, 0])      # residue 5 loses its -2
-    monkeypatch.setattr(bounds, "_SHIFTS", broken)
-    assert interpolated_gap(0, -5, np.arange(1, 100)).shape == (99,)  # l = 1 mod 6 only
-    with pytest.raises(AssertionError, match="shift table broken"):
-        interpolated_gap(4, 1, np.arange(1, 100))                     # l = 5 mod 6
-    with pytest.raises(AssertionError, match="shift table broken"):
-        interpolated_gap(4, 1, 7)
-
-
 def test_gap_sign_matches_spectral_margin_at_primes():
     """At a prime argument the interpolant's sign is the exceptionality margin's sign."""
     from rqgraph.primes import is_prime, window_coordinates
@@ -230,7 +236,7 @@ def test_gap_error_is_under_its_stated_bound():
             split = maximizing_split(l)
             bound = EPS * bounds.gap_error_scale(p)
             with mpmath.workdps(50):
-                exact = bounds._gap(mpmath, p, l, split.l1, split.l2)
+                exact = bounds._gap(mpmath, p, l)
                 r, c, k = window_coordinates(p)
                 assert bounds._gap_mp(r, c, k) == exact
             for double in (extremal_mu2(p, split.l1, split.l2) - ramanujan_bound_at(p, l),

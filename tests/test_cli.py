@@ -67,10 +67,18 @@ def test_spectrum_evaluates_each_block_once(capsys, monkeypatch):
 
 
 def test_cli_bad_input_is_a_clean_error(capsys):
-    code = main(["spectrum", "--subset", "m=3;pairs=9;delta=0;ypairs=0"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "error" in json.loads(captured.err)
+    for argv in (
+        ["spectrum", "--subset", "m=3;pairs=9;delta=0;ypairs=0"],
+        ["spectrum", "--subset", "m=3;pairs=1,2;delta=0;ypairs=0,1,2;colour=red"],  # unknown field
+        ["exceptional", "--p", str(2**64 + 13)],        # prime, but above the proven Miller-Rabin range
+        ["table2", "--rows", "9,7", "--xmax", "20000", "--threads", "0"],
+        ["table2", "--rows", "9,7", "--xmax", "20000", "--threads", "-4"],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == ""
+        assert "error" in json.loads(captured.err), argv
 
 
 def test_spectrum_csv(capsys):

@@ -41,6 +41,10 @@ def test_is_prime_examples():
     assert not is_prime(2992)  # 36*81 + 81 - 5, even
     assert is_prime(999999999989)
     assert not is_prime(10**12 + 1)
+    assert is_prime(2**64 - 59)                      # the largest prime below 2^64
+    for n in (2**64, 2**64 + 13, 2**65):            # 2^64 + 13 is prime
+        with pytest.raises(ValueError, match="2\\^64"):
+            is_prime(n)
 
 
 def test_is_prime_against_sympy():
@@ -290,6 +294,12 @@ def test_scan_families_parallel_matches_serial():
     serial = scan_families(10**6, rows=rows, processes=1)
     parallel = scan_families(10**6, rows=rows, processes=2)
     assert serial == parallel
+
+
+def test_scan_families_rejects_nonpositive_processes():
+    for processes in (0, -4):
+        with pytest.raises(ValueError, match="processes"):
+            scan_families(10**6, rows=[(9, 7)], processes=processes)
 
 
 def test_hl_constant_depends_only_on_reduced_discriminant():

@@ -97,6 +97,8 @@ def test_literal_roundtrip_and_validation():
         parse_subset_literal("m=3;pairs=1;delta=2;ypairs=0")
     with pytest.raises(ValueError):
         parse_subset_literal("m=3;pairs=1;ypairs=0")  # missing delta
+    with pytest.raises(ValueError, match="unknown fields"):
+        parse_subset_literal("m=3;pairs=1,2;delta=0;ypairs=0,1,2;colour=red")
 
 
 def test_enumerate_family_examples():
@@ -202,10 +204,18 @@ def test_extremal_subset_validation():
     with pytest.raises(ValueError):
         extremal_subset(5, 1, 10)  # l2 = 2m
     with pytest.raises(ValueError):
-        extremal_subset(5, 12, 2)  # window does not fit
-    with pytest.raises(ValueError):
-        extremal_subset(5, 1, 2, delta=0)  # inconsistent parity hint
-    assert extremal_subset(5, 1, 2, delta=1) == extremal_subset(5, 1, 2)
+        extremal_subset(5, 12, 2)  # l1 > 2m
+
+
+def test_extremal_subset_matches_window_construction():
+    """Every valid split at m <= 30 keeps the pairs above the centered x-window and the y-pairs from l2 / 2 on."""
+    for m in range(1, 31):
+        for l1 in range(1, 2 * m + 1):
+            for l2 in range(2, 2 * m, 2):
+                half_window = (l1 - 2 + l1 % 2) // 2
+                window = CayleySubset(m, frozenset(range(half_window + 1, m)), (l1 + l2) % 2,
+                                      frozenset(range(l2 // 2, m)))
+                assert extremal_subset(m, l1, l2) == window, (m, l1, l2)
 
 
 def test_covalency_splits():
