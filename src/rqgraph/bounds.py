@@ -11,17 +11,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations, islice
 from typing import NamedTuple, Optional
 
 import mpmath
 import numpy as np
 
 from . import spectra
-from .subsets import FAMILY_ALL, check_split, enumerate_family
+from .group import gcd_class
+from .subsets import FAMILY_ALL, CayleySubset, check_family, check_split, covalency_splits, split_sizes
 
-EXACT_SCAN_MAX_M = 12
+EXACT_SCAN_MAX_M = 20
+_SCAN_CHUNK = 1 << 14    # index sets per numpy pass of the exhaustive scan; bounds its memory
 MIN_EXCEPTIONAL_PRIME = 67     # theorem scope of both classification routes
 _MAX_GAP_K = 1 << 28    # keeps 36 k^2 + 3 (r + 3) k + c inside int64
+
+
+class SplitWorst(NamedTuple):
+    """The worst generating member of one covalency split."""
+
+    lam: float          # largest lambda_max_nontrivial among the members
+    ramanujan: bool     # every member is Ramanujan
 
 
 class SplitProfile(NamedTuple):
@@ -55,23 +66,128 @@ def ramanujan_bound_at(m: int, l: int) -> float:
 def exact_safe_covalency(m: int, family: str = FAMILY_ALL) -> int:
     """Largest covalency below which every family member is Ramanujan.
 
-    Exhaustive: enumerates every generating subset at covalencies 1, 2, ...
-    and stops at the first covalency carrying a non-Ramanujan graph; returns
-    the largest achievable covalency before it.  Empty covalencies are
-    vacuously safe.  Feasible only for small m, hence the hard cap.
+    Exhaustive: decides every generating subset at covalencies 1, 2, ...,
+    one split at a time by its worst member (`split_worst`), and stops at
+    the first covalency carrying a non-Ramanujan graph; returns the largest
+    achievable covalency before it.  Empty covalencies are vacuously safe.
+    Capped at m <= EXACT_SCAN_MAX_M, where one family takes about a second.
     """
-    if m > EXACT_SCAN_MAX_M:
-        raise ValueError(f"exhaustive scan capped at m <= {EXACT_SCAN_MAX_M}, got {m}")
+    if not 1 <= m <= EXACT_SCAN_MAX_M:
+        raise ValueError(f"exhaustive scan needs 1 <= m <= {EXACT_SCAN_MAX_M}, got m={m}")
+    check_family(family)
     last_achievable = 0
     for l in range(1, 4 * m):
         empty = True
-        for subset in enumerate_family(m, l, family):
-            empty = False
-            if not spectra.is_ramanujan(subset):
+        for l1, l2 in covalency_splits(m, l, family):
+            worst = split_worst(m, l1, l2)
+            if worst is None:
+                continue
+            if not worst.ramanujan:
                 return last_achievable
+            empty = False
         if not empty:
             last_achievable = l
     return last_achievable
+
+
+def split_worst(m: int, l1: int, l2: int) -> Optional[SplitWorst]:
+    """The worst generating member of the split (l1, l2); None when no member generates.
+
+    A member is a set P of pair indices and a set Y of y-pair indices, of the
+    sizes `split_sizes` gives.  It generates iff its classes
+    g_P = gcd_class(m, P) and g_Y = gcd_class(m, Y, min Y) are coprime.  Its
+    non-trivial eigenvalues are the one-dim integers, fixed by the counts of
+    even indices in P and in Y, and |z_j(P)| + |w_j(Y)| for j = 1..m-1.  So
+    the two-dim peak over the members of one coprime class pair is
+    max_j (max_P |z_j| + max_Y |w_j|), at O((#P + #Y) m) cost, and one
+    representative per (class, even count) gives every one-dim value.  The
+    one-dim values are decided exactly, v^2 against 4 (|S| - 1); the two-dim
+    peak by `spectra.at_or_below`.
+    """
+    delta, n_pairs, n_ypairs = split_sizes(m, l1, l2)
+    pairs = _side(m, n_pairs, delta, False)
+    ypairs = _side(m, n_ypairs, 0, True)
+    classes = [(a, b) for a in pairs.maxima for b in ypairs.maxima if math.gcd(a, b) == 1]
+    if not classes:
+        return None
+    members = {}
+    for (a, xe), p in pairs.reps.items():
+        for (b, ye), y in ypairs.reps.items():
+            if math.gcd(a, b) == 1:
+                members.setdefault((xe, ye), (p, y))
+    subsets = [CayleySubset(m, frozenset(p), delta, frozenset(y)) for p, y in members.values()]
+    size = subsets[0].size
+    one_dim = [v for s in subsets for v in spectra.one_dim_eigenvalues(s)]
+    ramanujan = all(v * v <= 4 * (size - 1) for v in one_dim if abs(v) != size)
+    peaks = np.array([pairs.maxima[a] + ypairs.maxima[b] for a, b in classes])
+    worst = float(peaks.max(initial=0.0))     # 0.0 at m = 1, which has no degree-2 blocks
+    scale = spectra.sums_error_scale(subsets[0])
+    window = spectra.tie_window(scale)
+
+    def exact_margin():
+        # The member at the exact peak has double |z_j| and |w_j| within twice
+        # their error of its class maxima, far inside the window; so every set
+        # within the window of its class maximum, at every j whose double peak
+        # is within the window, is evaluated in mpmath, the two sides apart.
+        best = max(
+            max(abs(spectra._block(mpmath, m, p, delta, (), j)[0])
+                for p in _near(m, n_pairs, delta, False, a, j, pairs.maxima[a][j - 1] - window))
+            + max(spectra._block(mpmath, m, (), 0, y, j)[1]
+                  for y in _near(m, n_ypairs, 0, True, b, j, ypairs.maxima[b][j - 1] - window))
+            for (a, b), row in zip(classes, peaks)
+            for j, peak in enumerate(row.tolist(), 1) if peak >= worst - window
+        )
+        return best - 2 * mpmath.sqrt(size - 1)
+
+    ramanujan &= spectra.at_or_below(worst - spectra.ramanujan_bound(subsets[0]), scale, exact_margin)
+    return SplitWorst(float(spectra._interior_max(one_dim + [worst], size)), ramanujan)
+
+
+class _Side(NamedTuple):
+    """One side of a split, over all its index sets: pair sets, or y-pair sets."""
+
+    maxima: dict    # gcd class -> max over the class's sets of |z_j| (pairs) or |w_j| (y-pairs), j = 1..m-1
+    reps: dict      # (gcd class, count of even indices) -> one index set
+
+
+@lru_cache(maxsize=4 * EXACT_SCAN_MAX_M)     # every side of one m
+def _side(m: int, n: int, delta: int, ypairs: bool) -> _Side:
+    """Per-class maxima and representatives of the n-element pair (or y-pair) index sets."""
+    maxima, reps = {}, {}
+    for sets, classes, values, evens in _chunks(m, n, delta, ypairs):
+        for g in set(classes):
+            top = values[np.equal(classes, g)].max(axis=0)
+            maxima[g] = np.maximum(maxima[g], top) if g in maxima else top
+        reps.update(zip(zip(classes, evens), sets))
+    return _Side(maxima, reps)
+
+
+def _near(m, n, delta, ypairs, g, j, floor):
+    """The index sets of class g whose |z_j| (|w_j|) is at least floor."""
+    for sets, classes, values, _ in _chunks(m, n, delta, ypairs):
+        for s, c, v in zip(sets, classes, values[:, j - 1].tolist()):
+            if c == g and v >= floor:
+                yield s
+
+
+def _chunks(m, n, delta, ypairs):
+    """All n-element pair (or y-pair) index sets, _SCAN_CHUNK at a time.
+
+    Yields the sets, their gcd classes, their |z_j| (|w_j|) for j = 1..m-1
+    from `spectra._block` on index columns, and their counts of even indices.
+    """
+    sets_iter = combinations(range(0 if ypairs else 1, m), n)
+    while sets := list(islice(sets_iter, _SCAN_CHUNK)):
+        index = np.array(sets, dtype=np.int64).reshape(len(sets), n)
+        cols = index.T
+        classes = [gcd_class(m, s, s[0] if ypairs else 0) for s in sets]
+        values = np.empty((len(sets), m - 1))
+        for j in range(1, m):
+            if ypairs:
+                values[:, j - 1] = spectra._block(spectra.NUMPY_SUMS, m, (), 0, cols, j)[1]
+            else:
+                values[:, j - 1] = abs(spectra._block(spectra.NUMPY_SUMS, m, cols, delta, (), j)[0])
+        yield sets, classes, values, (index % 2 == 0).sum(axis=1).tolist()
 
 
 def extremal_mu2(m: int, l1: int, l2: int) -> float:

@@ -127,6 +127,20 @@ def generates(subset: Iterable[GroupElement], m: int) -> bool:
     return all(seen)
 
 
+def gcd_class(m: int, indices: Iterable[int], origin: int = 0) -> int:
+    """gcd of m and the differences k - origin over indices: a divisor of m (m itself for none).
+
+    Scalar pure Python with an early exit at 1, because the generation test
+    calls it per subset.
+    """
+    d = m
+    for k in indices:
+        if d == 1:
+            break
+        d = math.gcd(d, k - origin)
+    return d
+
+
 def generates_fast(m: int, pair_indices: Iterable[int], ypair_indices: Iterable[int]) -> bool:
     """Generation test on the structural encoding of a symmetric subset.
 
@@ -134,16 +148,9 @@ def generates_fast(m: int, pair_indices: Iterable[int], ypair_indices: Iterable[
     pair exponents, and the differences of the y-coset exponents (any two
     y-coset elements multiply into <x>, and any such element squares to x^m,
     which is why x^m itself never matters here).  The subset generates iff it
-    touches the y-coset at all and d = 1.  Cross-validated against the BFS
+    touches the y-coset at all and d = 1; d is the `gcd_class` of the y-pairs
+    taken over the `gcd_class` of the pairs.  Cross-validated against the BFS
     closure in the test suite.
     """
-    ys = list(ypair_indices)
-    if not ys:
-        return False
-    d = math.gcd(m, *tuple(pair_indices))
-    base = ys[0]
-    for k2 in ys[1:]:
-        d = math.gcd(d, k2 - base)
-        if d == 1:
-            return True
-    return d == 1
+    ys = tuple(ypair_indices)
+    return bool(ys) and gcd_class(gcd_class(m, pair_indices), ys, ys[0]) == 1

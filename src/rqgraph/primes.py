@@ -223,6 +223,8 @@ def family_primes(r: int, c: int, x_max: int, k_min: int | None = None, head: in
     l0(f(k)) = 24 k + r.  Primes failing the window check are counted
     separately; the window membership should never fail for admissible c.
     """
+    if x_max < 0:
+        raise ValueError(f"x_max must be >= 0, got {x_max}")
     if x_max > 2**63:
         raise ValueError(f"x_max must be <= 2^63, got {x_max}")
     fam = family(r, c)

@@ -170,14 +170,19 @@ def parse_subset_literal(text: str) -> CayleySubset:
 # -- enumeration -------------------------------------------------------------
 
 
+def check_family(family: str) -> None:
+    """ValueError unless family is "s" or "sprime"."""
+    if family not in _FAMILIES:
+        raise ValueError(f"family must be one of {sorted(_FAMILIES)}, got {family!r}")
+
+
 def covalency_splits(m: int, l: int, family: str) -> list[tuple[int, int]]:
     """Admissible (l1, l2) splits of covalency l, ordered by ascending l1.
 
     l1 carries the parity of l, l2 is even; family "sprime" additionally
     requires l2 > 0 (the y-coset is not full).
     """
-    if family not in _FAMILIES:
-        raise ValueError(f"family must be one of {sorted(_FAMILIES)}, got {family!r}")
+    check_family(family)
     lo2 = 2 if family == FAMILY_NONFULL_YCOSET else 0
     out = []
     for l2 in range(lo2, min(2 * m - 1, l) + 1, 2):

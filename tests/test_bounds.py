@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from rqgraph import bounds
+from rqgraph import bounds, spectra
 from rqgraph.bounds import (
     asymptotic_coefficient,
     exact_safe_covalency,
@@ -13,10 +13,11 @@ from rqgraph.bounds import (
     is_exceptional_spectral,
     maximizing_split,
     ramanujan_bound_at,
+    split_worst,
     trivial_bound,
 )
-from rqgraph.spectra import mu_abs
-from rqgraph.subsets import covalency_splits, extremal_subset
+from rqgraph.spectra import at_or_below, is_ramanujan, lambda_max_nontrivial, mu_abs
+from rqgraph.subsets import covalency_splits, enumerate_family, extremal_subset
 
 
 def test_trivial_bound_examples():
@@ -35,8 +36,64 @@ def test_exact_safe_covalency_examples():
     assert exact_safe_covalency(3, "s") == 4
     assert exact_safe_covalency(4, "sprime") == 6
     assert exact_safe_covalency(5, "s") == 6
-    with pytest.raises(ValueError):
-        exact_safe_covalency(13, "s")
+    for m, family in ((21, "s"), (0, "s"), (-3, "s"), (-3, "bogus"), (5, "bogus")):
+        with pytest.raises(ValueError):
+            exact_safe_covalency(m, family)
+
+
+# The exhaustive scan's results, s at m = 2..16 and sprime at m = 4..16.
+EXACT_SAFE_COVALENCY = {
+    "s": {2: 4, 3: 4, 4: 6, 5: 6, 6: 7, 7: 8, 8: 9, 9: 10, 10: 10, 11: 11, 12: 11,
+          13: 12, 14: 12, 15: 13, 16: 14},
+    "sprime": {4: 6, 5: 8, 6: 7, 7: 10, 8: 9, 9: 10, 10: 10, 11: 12, 12: 11,
+               13: 13, 14: 12, 15: 13, 16: 14},
+}
+
+
+def test_exact_safe_covalency_table():
+    for family, table in EXACT_SAFE_COVALENCY.items():
+        for m, want in table.items():
+            assert exact_safe_covalency(m, family) == want, (family, m)
+    # past m = 12: s stays at l0; sprime is l0 + 1 at the prime 13 and l0 at 14, 15, 16
+    l0 = {m: trivial_bound(m) for m in range(13, 17)}
+    assert [EXACT_SAFE_COVALENCY["s"][m] - l0[m] for m in l0] == [0, 0, 0, 0]
+    assert [EXACT_SAFE_COVALENCY["sprime"][m] - l0[m] for m in l0] == [1, 0, 0, 0]
+
+
+def test_split_worst_matches_per_subset_route(monkeypatch):
+    """Per split, the kernel's verdict and worst lambda are those of its members one by one.
+
+    Every covalency for m <= 7 (m = 1 has no degree-2 blocks), up to l0 + 2
+    for m = 8 and 9, which holds the exact ties at m = 9, covalency 10.
+    Every sprime split is an s split, so the s splits cover both families.
+    """
+    escalations = []
+
+    def counting(margin, scale, exact_margin):
+        def exact():
+            escalations.append(margin)
+            return exact_margin()
+        return at_or_below(margin, scale, exact)
+
+    monkeypatch.setattr(spectra, "at_or_below", counting)
+    kernel_escalations = 0
+    for m in range(1, 10):
+        top = 4 * m - 1 if m <= 7 else trivial_bound(m) + 2
+        for l in range(1, top + 1):
+            members = {}
+            for s in enumerate_family(m, l, "s"):
+                members.setdefault((s.profile().l1, s.profile().l2), []).append(s)
+            for l1, l2 in covalency_splits(m, l, "s"):
+                before = len(escalations)
+                worst = split_worst(m, l1, l2)
+                kernel_escalations += len(escalations) - before
+                split = members.get((l1, l2))
+                if split is None:
+                    assert worst is None, (m, l1, l2)
+                    continue
+                assert worst.ramanujan == all(is_ramanujan(s) for s in split), (m, l1, l2)
+                assert abs(worst.lam - max(lambda_max_nontrivial(s) for s in split)) <= 1e-9, (m, l1, l2)
+    assert kernel_escalations > 0    # the kernel's mpmath path ran
 
 
 def test_extremal_mu2_against_subset_spectrum():

@@ -54,9 +54,9 @@ def test_spectrum_evaluates_each_block_once(capsys, monkeypatch):
     calls = []
     original = spectra._block
 
-    def counting(xp, subset, j):
-        calls.append((xp.__name__, j))
-        return original(xp, subset, j)
+    def counting(xp, *blocks):
+        calls.append((xp.__name__, blocks[-1]))
+        return original(xp, *blocks)
 
     monkeypatch.setattr(spectra, "_block", counting)
     spectra._raw_values.cache_clear()
@@ -73,6 +73,9 @@ def test_cli_bad_input_is_a_clean_error(capsys):
         ["exceptional", "--p", str(2**64 + 13)],        # prime, but above the proven Miller-Rabin range
         ["table2", "--rows", "9,7", "--xmax", "20000", "--threads", "0"],
         ["table2", "--rows", "9,7", "--xmax", "20000", "--threads", "-4"],
+        ["table2", "--rows", "9,7", "--xmax", "-10"],
+        ["lbound", "--m", "21", "--exact"],     # above EXACT_SCAN_MAX_M
+        ["lbound", "--m", "-3", "--exact"],
     ):
         code = main(argv)
         captured = capsys.readouterr()

@@ -285,8 +285,10 @@ def test_family_primes_window_filter():
     rep = family_primes(0, -5, 10**6, k_min=9)
     assert rep.first_primes == (7177, 11821, 20947, 52321, 121621)
     assert rep.count == 18
-    with pytest.raises(ValueError):
-        family_primes(0, -5, 2**63 + 1)
+    for x_max in (2**63 + 1, -1, -10):
+        with pytest.raises(ValueError):
+            family_primes(0, -5, x_max)
+    assert family_primes(0, -5, 0).count == 0
 
 
 def test_scan_families_parallel_matches_serial():

@@ -185,11 +185,11 @@ def test_float_and_mp_character_sums_agree():
     ]
     for s in cases:
         for j in range(1, s.m):
-            z, w = spectra._block(math, s, j)
+            z, w = spectra._block(math, s.m, s.pair_bits, s.delta, s.ypair_bits, j)
             ev = two_dim_eigenvalues(s, j)
             assert (z, w) == (ev.diag, ev.offdiag_abs)
             with mpmath.workdps(50):
-                z_mp, w_mp = spectra._block(mpmath, s, j)
+                z_mp, w_mp = spectra._block(mpmath, s.m, s.pair_bits, s.delta, s.ypair_bits, j)
             assert abs(z - z_mp) <= 1e-12 and abs(w - w_mp) <= 1e-12, (s.literal(), j)
             if j % 2:
                 assert w == 0.0 and math.copysign(1.0, w) == 1.0 and w_mp == 0
@@ -206,7 +206,7 @@ def test_character_sum_error_is_under_its_stated_bound():
         with mpmath.workdps(50):
             for j in range(1, m):
                 ev = two_dim_eigenvalues(s, j)
-                z, w = spectra._block(mpmath, s, j)
+                z, w = spectra._block(mpmath, s.m, s.pair_bits, s.delta, s.ypair_bits, j)
                 assert abs(ev.plus - (z + w)) <= bound and abs(ev.minus - (z - w)) <= bound
             exact = spectra._margin_mp(s)
         margin = lambda_max_nontrivial(s) - ramanujan_bound(s)
