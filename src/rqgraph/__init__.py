@@ -8,10 +8,10 @@ Q_{4m} = <x, y | x^(2m) = 1, x^m = y^2, y^-1 x y = x^-1>:
 * how many group elements can be dropped from the complete-graph generating
   set while every graph in the family stays Ramanujan (the safe-covalency
   bounds), both by exhaustive enumeration at small m and in closed form;
-* for odd primes p = m, whether the safe covalency gains one extra step
-  ("exceptional" primes), classified spectrally and, equivalently, through
-  54 prime-representing quadratic polynomials with Hardy-Littlewood
-  density predictions.
+* for odd primes p = m, whether the window-extremal subset (not always the
+  worst) of covalency l0 + 1 is Ramanujan ("exceptional" primes), classified
+  spectrally and, equivalently, through 54 prime-representing quadratic
+  polynomials with Hardy-Littlewood density predictions.
 """
 
 __version__ = "0.1.0"

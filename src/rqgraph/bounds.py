@@ -1,10 +1,10 @@
 """Safe-covalency bounds and the spectral exceptional-prime test.
 
 The trivial bound l0 = floor(4 sqrt(m)) - 2 guarantees the Ramanujan property
-for every covalency up to it.  Whether covalency l0 + 1 is still safe for the
-restricted family (y-coset not full) is decided by a single closed-form
-eigenvalue, evaluated at the maximizing covalency split; primes where it
-stays under the Ramanujan bound are the "exceptional" ones.
+for every covalency up to it.  At l0 + 1, primes whose closed-form eigenvalue
+stays under the Ramanujan bound are the "exceptional" ones.  It is that of the
+window-extremal subset at the maximizing split, which need not be the worst
+member of the restricted family (y-coset not full): p = 73 has a worse one.
 """
 
 from __future__ import annotations

@@ -14,14 +14,10 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from . import __version__, bounds, dense, primes, spectra
-from .subsets import FAMILY_ALL, FAMILY_NONFULL_YCOSET, parse_subset_literal
-
-FIXTURE_ENV = "RQ_FIXTURE_DIR"
-_FAMILY_FLAG = {"s": FAMILY_ALL, "sprime": FAMILY_NONFULL_YCOSET}
+from .subsets import parse_subset_literal
 
 
 def _round15(x: float) -> float:
@@ -62,11 +58,7 @@ def _emit_csv(rows: list[dict], fieldnames: list[str]) -> None:
 
 
 def _format_cell(v) -> str:
-    if isinstance(v, float):
-        return f"{_round15(v):.15g}"
-    if isinstance(v, (list, tuple)):
-        return " ".join(str(x) for x in v)
-    return str(v)
+    return f"{v:.15g}" if isinstance(v, float) else str(v)
 
 
 # -- spectrum ------------------------------------------------------------------
@@ -94,7 +86,7 @@ def cmd_spectrum(args) -> int:
         delta = dense.oracle_max_delta(subset)
         results["oracle_max_delta"] = delta
         results["oracle_agrees"] = delta <= 1e-8
-        if delta > 1e-8:
+        if not results["oracle_agrees"]:
             failures.append({"check": "oracle_agreement", "max_delta": delta})
     results["failures"] = failures
     payload = _envelope("spectrum", {"subset": args.subset, "oracle": bool(args.oracle)}, results)
@@ -110,10 +102,9 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_lbound(args) -> int:
-    family = _FAMILY_FLAG[args.family]
     results = {"m": args.m, "family": args.family, "trivial_bound": bounds.trivial_bound(args.m)}
     if args.exact:
-        results["exact_safe_covalency"] = bounds.exact_safe_covalency(args.m, family)
+        results["exact_safe_covalency"] = bounds.exact_safe_covalency(args.m, args.family)
         results["matches_trivial_bound"] = (
             results["exact_safe_covalency"] == results["trivial_bound"]
         )
@@ -138,12 +129,10 @@ def cmd_exceptional(args) -> int:
         _emit_json(payload)
         return 0
     verdicts = {}
-    if args.method in ("spectral", "both"):
-        v = bounds.is_exceptional_spectral(p)
-        verdicts["spectral"] = {"exceptional": v.exceptional, "l0": v.l0, "witness": v.witness}
-    if args.method in ("arithmetic", "both"):
-        v = primes.is_exceptional_arithmetic(p)
-        verdicts["arithmetic"] = {"exceptional": v.exceptional, "l0": v.l0, "witness": v.witness}
+    for name, classify in (("spectral", bounds.is_exceptional_spectral), ("arithmetic", primes.is_exceptional_arithmetic)):
+        if args.method in (name, "both"):
+            v = classify(p)
+            verdicts[name] = {"exceptional": v.exceptional, "l0": v.l0, "witness": v.witness}
     results["verdicts"] = verdicts
     if args.method == "both":
         agree = verdicts["spectral"]["exceptional"] == verdicts["arithmetic"]["exceptional"]
@@ -183,20 +172,10 @@ def load_fixture(path: str) -> dict[tuple[int, int], dict]:
     return out
 
 
-def _fixture_path(arg_path: str | None) -> str | None:
-    if arg_path:
-        return arg_path
-    env_dir = os.environ.get(FIXTURE_ENV)
-    if env_dir:
-        return os.path.join(env_dir, "table2.csv")
-    return None
-
-
 def cmd_table2(args) -> int:
     rows = _parse_rows(args.rows)
     reports = primes.scan_families(args.xmax, rows=rows, processes=args.threads)
-    fixture_path = _fixture_path(args.fixture)
-    fixture = load_fixture(fixture_path) if fixture_path else None
+    fixture = load_fixture(args.fixture) if args.fixture else None
     out_rows = []
     failures = []
     for rep in reports:
@@ -242,7 +221,7 @@ def cmd_table2(args) -> int:
                 "xmax": args.xmax,
                 "prime_bound": args.prime_bound,
                 "rows": args.rows,
-                "fixture": fixture_path,
+                "fixture": args.fixture,
             },
             {"rows": out_rows, "failures": failures},
         )
@@ -286,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     t2.add_argument("--prime-bound", type=int, default=10**7)
     t2.add_argument("--rows", default="all", help='"all" or "r,c" for a single family')
     t2.add_argument("--threads", type=int, default=1)
-    t2.add_argument("--fixture", default=None, help=f"fixture CSV to diff against (or ${FIXTURE_ENV}/table2.csv)")
+    t2.add_argument("--fixture", default=None, help="fixture CSV to diff against")
     t2.add_argument("--json", action="store_true", help="JSON envelope instead of CSV")
     t2.set_defaults(func=cmd_table2)
 

@@ -27,8 +27,9 @@ from .spectra import at_or_below, tie_window
 _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 _MR_LIMIT = 1 << 64
 
-# Product of odd primes up to 61; a single gcd screens most composites.
-_SMALL_PRIME_PRODUCT = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47 * 53 * 59 * 61
+# The odd primes up to 61; a single gcd with their product screens most composites.
+_SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+_SMALL_PRIME_PRODUCT = math.prod(_SMALL_PRIMES)
 
 THRESHOLD_SCAN_HORIZON = 10_000
 
@@ -66,9 +67,7 @@ def is_prime(n: int) -> bool:
     if n % 2 == 0:
         return n == 2
     if n < 3844:                        # 62^2: gcd screen is complete here
-        return math.gcd(n, _SMALL_PRIME_PRODUCT) == 1 or n in (
-            3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
-        )
+        return math.gcd(n, _SMALL_PRIME_PRODUCT) == 1 or n in _SMALL_PRIMES
     if math.gcd(n, _SMALL_PRIME_PRODUCT) != 1:
         return False
     d = n - 1
@@ -216,17 +215,14 @@ def is_exceptional_arithmetic(p: int) -> ExceptionalVerdict:
     return ExceptionalVerdict(p, l0, "arithmetic", exceptional, witness)
 
 
-def family_primes(r: int, c: int, x_max: int, k_min: int | None = None, head: int = 5) -> FamilyReport:
+def family_primes(r: int, c: int, x_max: int, k_min: int | None = None) -> FamilyReport:
     """Scan one family for primes f(k) <= x_max that sit in their own window.
 
-    Keeps k >= k_min (default: the family threshold) where f(k) is prime and
-    l0(f(k)) = 24 k + r.  Primes failing the window check are counted
-    separately; the window membership should never fail for admissible c.
+    Counts, and reports the first 5 of, the k >= k_min (default: the family
+    threshold) where f(k) is prime and l0(f(k)) = 24 k + r.  Primes failing
+    the window check are counted separately; it should never fail for admissible c.
     """
-    if x_max < 0:
-        raise ValueError(f"x_max must be >= 0, got {x_max}")
-    if x_max > 2**63:
-        raise ValueError(f"x_max must be <= 2^63, got {x_max}")
+    _check_x_max(x_max)
     fam = family(r, c)
     if k_min is None:
         k_min = fam.k_threshold
@@ -245,7 +241,14 @@ def family_primes(r: int, c: int, x_max: int, k_min: int | None = None, head: in
             else:
                 mismatches += 1
         k += 1
-    return FamilyReport(fam, x_max, tuple(primes[:head]), len(primes), mismatches)
+    return FamilyReport(fam, x_max, tuple(primes[:5]), len(primes), mismatches)
+
+
+def _check_x_max(x_max: int) -> None:
+    if x_max < 0:
+        raise ValueError(f"x_max must be >= 0, got {x_max}")
+    if x_max > 2**63:
+        raise ValueError(f"x_max must be <= 2^63, got {x_max}")
 
 
 # -- Hardy-Littlewood constants ------------------------------------------------
@@ -333,13 +336,14 @@ def scan_families(
 ) -> list[FamilyReport]:
     """Prime scans for the requested (r, c) families, optionally in parallel.
 
-    Results are returned in (r, c) order regardless of scheduling.
+    Results are returned in (r, c) order regardless of scheduling; bad input
+    raises before any worker process starts.
     """
     if processes < 1:
         raise ValueError(f"processes must be >= 1, got {processes}")
-    if rows is None:
-        rows = [(f.r, f.c) for f in all_families()]
-    jobs = [(r, c, x_max) for (r, c) in sorted(rows)]
+    _check_x_max(x_max)
+    families = all_families() if rows is None else [family(r, c) for r, c in sorted(rows)]
+    jobs = [(f.r, f.c, x_max) for f in families]
     if processes > 1 and len(jobs) > 1:
         import multiprocessing
 

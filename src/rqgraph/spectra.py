@@ -45,10 +45,6 @@ class Spectrum:
     values: tuple[float, ...]                  # descending, length 4m
     entries: tuple[tuple[float, int], ...]     # (value, multiplicity) groups
 
-    @property
-    def order(self) -> int:
-        return len(self.values)
-
 
 def one_dim_eigenvalues(subset: CayleySubset) -> tuple[int, int, int, int]:
     """Eigenvalues of the four linear characters (integers).
@@ -167,13 +163,7 @@ def lambda_max_nontrivial(subset: CayleySubset) -> float:
 
 def _interior_max(vals, degree):
     """Largest |v| over the values whose magnitude is not the degree."""
-    best = None
-    for v in vals:
-        if abs(abs(v) - degree) <= DECISION_TOL:
-            continue
-        a = abs(v)
-        if best is None or a > best:
-            best = a
+    best = max((abs(v) for v in vals if abs(abs(v) - degree) > DECISION_TOL), default=None)
     if best is None:
         raise ValueError("all eigenvalues have magnitude |S|; no non-trivial eigenvalue")
     return best

@@ -16,8 +16,9 @@ from rqgraph.bounds import (
     split_worst,
     trivial_bound,
 )
-from rqgraph.spectra import at_or_below, is_ramanujan, lambda_max_nontrivial, mu_abs
-from rqgraph.subsets import covalency_splits, enumerate_family, extremal_subset
+from rqgraph.dense import oracle_max_delta
+from rqgraph.spectra import at_or_below, is_ramanujan, lambda_max_nontrivial, mu_abs, ramanujan_bound
+from rqgraph.subsets import covalency_splits, enumerate_family, extremal_subset, parse_subset_literal
 
 
 def test_trivial_bound_examples():
@@ -60,6 +61,13 @@ def test_exact_safe_covalency_table():
     assert [EXACT_SAFE_COVALENCY["sprime"][m] - l0[m] for m in l0] == [1, 0, 0, 0]
 
 
+def _members_by_split(m, l):
+    members = {}
+    for s in enumerate_family(m, l, "s"):
+        members.setdefault((s.profile().l1, s.profile().l2), []).append(s)
+    return members
+
+
 def test_split_worst_matches_per_subset_route(monkeypatch):
     """Per split, the kernel's verdict and worst lambda are those of its members one by one.
 
@@ -80,9 +88,7 @@ def test_split_worst_matches_per_subset_route(monkeypatch):
     for m in range(1, 10):
         top = 4 * m - 1 if m <= 7 else trivial_bound(m) + 2
         for l in range(1, top + 1):
-            members = {}
-            for s in enumerate_family(m, l, "s"):
-                members.setdefault((s.profile().l1, s.profile().l2), []).append(s)
+            members = _members_by_split(m, l)
             for l1, l2 in covalency_splits(m, l, "s"):
                 before = len(escalations)
                 worst = split_worst(m, l1, l2)
@@ -94,6 +100,30 @@ def test_split_worst_matches_per_subset_route(monkeypatch):
                 assert worst.ramanujan == all(is_ramanujan(s) for s in split), (m, l1, l2)
                 assert abs(worst.lam - max(lambda_max_nontrivial(s) for s in split)) <= 1e-9, (m, l1, l2)
     assert kernel_escalations > 0    # the kernel's mpmath path ran
+
+
+def test_split_worst_near_ties_are_sound(monkeypatch):
+    """With a tie window of at least 2, the kernel's mpmath margin decides most splits.
+
+    Its verdict must still be that of the members one by one, for every s
+    split with m <= 6 at every covalency.  Inside so wide a window the double
+    argmax of a class often differs from the exact one, so a margin that
+    took only the first set within the window of its class maximum would
+    disagree at (6, 8, 6), (6, 6, 10) and (6, 8, 10); a window of 1 is too
+    narrow to show it.
+    """
+    tie_window = spectra.tie_window
+    monkeypatch.setattr(spectra, "tie_window", lambda scale: max(2.0, tie_window(scale)))
+    for m in range(1, 7):
+        for l in range(1, 4 * m):
+            members = _members_by_split(m, l)
+            for l1, l2 in covalency_splits(m, l, "s"):
+                worst = split_worst(m, l1, l2)
+                split = members.get((l1, l2))
+                if split is None:
+                    assert worst is None, (m, l1, l2)
+                else:
+                    assert worst.ramanujan == all(is_ramanujan(s) for s in split), (m, l1, l2)
 
 
 def test_extremal_mu2_against_subset_spectrum():
@@ -212,6 +242,27 @@ def test_is_exceptional_spectral_examples():
 
     assert not is_exceptional_spectral(151).exceptional
     assert is_exceptional_spectral(7177).exceptional
+
+
+def test_closed_form_does_not_decide_the_restricted_family_at_73():
+    """The closed form classifies the window-extremal subset, not every sprime member.
+
+    p = 73 is exceptional by the closed form, yet this generating member of
+    covalency l0 + 1 with a non-full y-coset drops pairs from both ends of
+    the windows and is not Ramanujan.  The verdict is pinned as it stands.
+    """
+    pairs = ",".join(str(k) for k in range(1, 73) if k not in (14, 17, 28, 31, 42, 45, 56, 59))
+    ypairs = ",".join(str(k) for k in range(73) if k not in (8, 11, 22, 25, 39, 53, 67, 70))
+    s = parse_subset_literal(f"m=73;pairs={pairs};delta=1;ypairs={ypairs}")
+    assert s.generates()
+    assert s.covalency() == trivial_bound(73) + 1 == 33
+    assert (s.profile().l1, s.profile().l2) == (17, 16)
+    assert len(s.ypair_bits) == 65
+    assert lambda_max_nontrivial(s) == pytest.approx(32.24936, abs=1e-5)
+    assert ramanujan_bound(s) == pytest.approx(32.12476, abs=1e-5)
+    assert not is_ramanujan(s)
+    assert oracle_max_delta(s) < 1e-12
+    assert is_exceptional_spectral(73).exceptional
 
 
 def test_interpolated_gap_signs():

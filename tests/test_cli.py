@@ -183,17 +183,6 @@ def test_table2_fixture_diff_discrepant_row(capsys):
     assert "k_threshold" in fails[0]["diffs"]
 
 
-def test_fixture_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("RQ_FIXTURE_DIR", str(DATA_DIR))
-    code, out = run(
-        capsys,
-        ["table2", "--rows", "9,7", "--xmax", str(10**12), "--prime-bound", "1000000", "--json"],
-    )
-    payload = json.loads(out)
-    assert payload["parameters"]["fixture"].endswith("table2.csv")
-    assert code == 0
-
-
 def test_float_formatting_is_15_significant_digits(capsys):
     _, out = run(capsys, ["exceptional", "--p", "67", "--method", "spectral"])
     res = json.loads(out)["results"]

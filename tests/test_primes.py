@@ -304,6 +304,22 @@ def test_scan_families_rejects_nonpositive_processes():
             scan_families(10**6, rows=[(9, 7)], processes=processes)
 
 
+def test_scan_families_rejects_bad_input_before_starting_workers(monkeypatch):
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        pytest.fail("a worker pool was started for input that cannot be scanned")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    for x_max in (-10, 2**63 + 1):
+        with pytest.raises(ValueError, match="x_max"):
+            scan_families(x_max, rows=[(0, -5), (9, 7)], processes=2)
+    with pytest.raises(ValueError, match="not an admissible constant"):
+        scan_families(10**6, rows=[(9, 7), (9, 99)], processes=2)
+    with pytest.raises(ValueError, match="r must be in"):
+        scan_families(10**6, rows=[(9, 7), (24, 0)], processes=2)
+
+
 def test_hl_constant_depends_only_on_reduced_discriminant():
     # (0,-5) and (2,-4) share (r+3)^2 - 16c = 89
     assert family(0, -5).reduced_discriminant == 89

@@ -101,7 +101,7 @@ def test_full_spectrum_structure():
     for m in (1, 2, 5, 9):
         s = full_subset(m)
         spec = full_spectrum(s)
-        assert spec.order == 4 * m
+        assert len(spec.values) == 4 * m
         assert sum(k for _, k in spec.entries) == 4 * m
         assert max(spec.values) == s.size
 
