@@ -174,8 +174,9 @@ def load_fixture(path: str) -> dict[tuple[int, int], dict]:
 
 def cmd_table2(args) -> int:
     rows = _parse_rows(args.rows)
-    reports = primes.scan_families(args.xmax, rows=rows, processes=args.threads)
     fixture = load_fixture(args.fixture) if args.fixture else None
+    primes.check_prime_bound(args.prime_bound)
+    reports = primes.scan_families(args.xmax, rows=rows, processes=args.threads)
     out_rows = []
     failures = []
     for rep in reports:

@@ -41,10 +41,6 @@ class PrimeFamily:
     reduced_discriminant: int   # (r+3)^2 - 16c; the full discriminant is 9x this
     k_threshold: int
 
-    @property
-    def coefficients(self) -> tuple[int, int, int]:
-        return (36, 3 * (self.r + 3), self.c)
-
     def value(self, k: int) -> int:
         return 36 * k * k + 3 * (self.r + 3) * k + self.c
 
@@ -292,15 +288,19 @@ def _hl_product(reduced_discriminant: int, prime_bound: int) -> float:
     return product
 
 
+def check_prime_bound(prime_bound: int) -> None:
+    if prime_bound < 10**3:
+        raise ValueError(f"prime_bound must be >= 1000, got {prime_bound}")
+
+
 def hardy_littlewood_constant(r: int, c: int, prime_bound: int = 10**7) -> float:
     """Truncated Euler product over primes 5 <= p <= prime_bound.
 
-    The factors involve only the reduced discriminant (r+3)^2 - 16c, so equal
-    discriminants share the constant.  Convergence is conditional and slow;
-    at the default bound the value is reliable to roughly two digits.
+    The factors depend only on (d/p), d = (r+3)^2 - 16c, so d and 4d agree up
+    to rounding (the product order depends on d).  Convergence is conditional
+    and slow; at the default bound the value is reliable to roughly two digits.
     """
-    if prime_bound < 10**3:
-        raise ValueError(f"prime_bound must be >= 1000, got {prime_bound}")
+    check_prime_bound(prime_bound)
     d = (r + 3) ** 2 - 16 * c
     if _is_square(d):
         raise ValueError(f"degenerate discriminant for (r={r}, c={c}): {d} is a perfect square")

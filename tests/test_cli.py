@@ -1,5 +1,9 @@
+import dataclasses
 import json
 
+import pytest
+
+from rqgraph import bounds, dense, primes, spectra
 from rqgraph.cli import main
 from conftest import DATA_DIR
 
@@ -49,8 +53,6 @@ def test_spectrum_non_ramanujan_witness(capsys):
 
 def test_spectrum_evaluates_each_block_once(capsys, monkeypatch):
     """full_spectrum, lambda_max_nontrivial and is_ramanujan share one pass."""
-    from rqgraph import spectra
-
     calls = []
     original = spectra._block
 
@@ -82,6 +84,47 @@ def test_cli_bad_input_is_a_clean_error(capsys):
         assert code == 2, argv
         assert captured.out == ""
         assert "error" in json.loads(captured.err), argv
+
+
+def test_table2_rejects_bad_input_before_scanning(capsys, monkeypatch, tmp_path):
+    def no_scan(*args, **kwargs):
+        pytest.fail("scan_families ran before the input was checked")
+
+    monkeypatch.setattr(primes, "scan_families", no_scan)
+    missing = str(tmp_path / "missing.csv")
+    for argv, error in (
+        (["--prime-bound", "5"], "prime_bound must be >= 1000, got 5"),
+        (["--fixture", missing], f"[Errno 2] No such file or directory: '{missing}'"),
+    ):
+        code = main(["table2", "--xmax", str(10**11), *argv])
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"command": "table2", "error": error}
+
+
+def test_spectrum_oracle_disagreement_fails(capsys, monkeypatch):
+    monkeypatch.setattr(dense, "oracle_max_delta", lambda subset: 1.0)
+    code, out = run(capsys, ["spectrum", "--subset", "m=3;pairs=1,2;delta=0;ypairs=0,1,2", "--oracle"])
+    assert code == 1
+    res = json.loads(out)["results"]
+    assert res["oracle_agrees"] is False
+    assert res["failures"] == [{"check": "oracle_agreement", "max_delta": 1.0}]
+
+
+def test_exceptional_route_disagreement_fails(capsys, monkeypatch):
+    spectral = bounds.is_exceptional_spectral
+
+    def flipped(p):
+        verdict = spectral(p)
+        return dataclasses.replace(verdict, exceptional=not verdict.exceptional)
+
+    monkeypatch.setattr(bounds, "is_exceptional_spectral", flipped)
+    code, out = run(capsys, ["exceptional", "--p", "67", "--method", "both"])
+    assert code == 1
+    res = json.loads(out)["results"]
+    assert res["routes_agree"] is False
+    assert res["failures"] == [{"check": "route_agreement", "p": 67}]
 
 
 def test_spectrum_csv(capsys):
@@ -166,6 +209,15 @@ def test_table2_fixture_diff_clean_row(capsys):
     assert row["count"] == 24281
     assert payload["results"]["failures"] == []
     assert code == 0
+
+
+def test_table2_fixture_without_the_row_fails(capsys, tmp_path):
+    fixture = tmp_path / "table2.csv"
+    lines = (DATA_DIR / "table2.csv").read_text().splitlines(keepends=True)
+    fixture.write_text("".join(line for line in lines if not line.startswith("9,7,")))
+    code, out = run(capsys, ["table2", "--rows", "9,7", "--xmax", "20000", "--fixture", str(fixture), "--json"])
+    assert code == 1
+    assert json.loads(out)["results"]["failures"] == [{"check": "fixture_row_present", "r": 9, "c": 7}]
 
 
 def test_table2_fixture_diff_discrepant_row(capsys):

@@ -1,7 +1,12 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
+import rqgraph
 from rqgraph.group import (
     IDENTITY,
     GroupElement,
@@ -167,3 +172,11 @@ def test_generates_fast_matches_bfs_closure(m):
         els = subset.elements()
         expected = generates(els, m) if els else False
         assert generates_fast(m, subset.pair_bits, subset.ypair_bits) == expected
+
+
+def test_importing_group_loads_no_other_rqgraph_module():
+    """The package root imports nothing, so `group` stands alone at the bottom."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(rqgraph.__file__).parents[1])}
+    code = "import sys, rqgraph.group; print(*sorted(m for m in sys.modules if m.startswith('rqgraph')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["rqgraph", "rqgraph.group"]
