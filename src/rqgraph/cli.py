@@ -161,7 +161,11 @@ def _parse_rows(text: str) -> list[tuple[int, int]] | None:
 def load_fixture(path: str) -> dict[tuple[int, int], dict]:
     out = {}
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        missing = [name for name in TABLE_FIELDS if name not in (reader.fieldnames or [])]
+        if missing:
+            raise ValueError(f"fixture {path} lacks column(s): {', '.join(missing)}")
+        for row in reader:
             key = (int(row["r"]), int(row["c"]))
             out[key] = {
                 "k_threshold": int(row["k_threshold"]),
@@ -176,7 +180,7 @@ def cmd_table2(args) -> int:
     rows = _parse_rows(args.rows)
     fixture = load_fixture(args.fixture) if args.fixture else None
     primes.check_prime_bound(args.prime_bound)
-    reports = primes.scan_families(args.xmax, rows=rows, processes=args.threads)
+    reports = primes.scan_families(args.xmax, rows=rows)
     out_rows = []
     failures = []
     for rep in reports:
@@ -265,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     t2.add_argument("--xmax", type=int, default=10**12)
     t2.add_argument("--prime-bound", type=int, default=10**7)
     t2.add_argument("--rows", default="all", help='"all" or "r,c" for a single family')
-    t2.add_argument("--threads", type=int, default=1)
     t2.add_argument("--fixture", default=None, help="fixture CSV to diff against")
     t2.add_argument("--json", action="store_true", help="JSON envelope instead of CSV")
     t2.set_defaults(func=cmd_table2)

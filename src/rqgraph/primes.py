@@ -33,6 +33,11 @@ _SMALL_PRIME_PRODUCT = math.prod(_SMALL_PRIMES)
 
 THRESHOLD_SCAN_HORIZON = 10_000
 
+# Bounds the family sieve's memory: it holds about sqrt(x_max) / 6 values per
+# family (300 MB peak at 10^14).  Its sieving primes q <= sqrt(x_max) stay
+# below 2^24, so products of two residues mod q fit in int64 with room to spare.
+X_MAX_LIMIT = 10**14
+
 
 @dataclass(frozen=True)
 class PrimeFamily:
@@ -217,6 +222,7 @@ def family_primes(r: int, c: int, x_max: int, k_min: int | None = None) -> Famil
     Counts, and reports the first 5 of, the k >= k_min (default: the family
     threshold) where f(k) is prime and l0(f(k)) = 24 k + r.  Primes failing
     the window check are counted separately; it should never fail for admissible c.
+    Primality comes from the exact sieve `_sieve_family`, not from `is_prime`.
     """
     _check_x_max(x_max)
     fam = family(r, c)
@@ -224,30 +230,22 @@ def family_primes(r: int, c: int, x_max: int, k_min: int | None = None) -> Famil
         k_min = fam.k_threshold
     if k_min < 0:
         raise ValueError(f"k_min must be >= 0, got {k_min}")
-    primes = []
-    mismatches = 0
-    k = k_min
-    while True:
-        value = fam.value(k)
-        if value > x_max:
-            break
-        if value >= 2 and is_prime(value):
-            if trivial_bound(value) == 24 * k + r:
-                primes.append(value)
-            else:
-                mismatches += 1
-        k += 1
-    return FamilyReport(fam, x_max, tuple(primes[:5]), len(primes), mismatches)
+    ks, values = _sieve_family(fam, k_min, x_max)
+    # l0(v) = isqrt(16 v) - 2 equals l exactly when (l + 2)^2 <= 16 v < (l + 3)^2
+    l = 24 * ks + r
+    in_window = ((l + 2) ** 2 <= 16 * values) & (16 * values < (l + 3) ** 2)
+    first = values[in_window][:5].tolist()
+    return FamilyReport(fam, x_max, tuple(first), int(in_window.sum()), int((~in_window).sum()))
 
 
 def _check_x_max(x_max: int) -> None:
     if x_max < 0:
         raise ValueError(f"x_max must be >= 0, got {x_max}")
-    if x_max > 2**63:
-        raise ValueError(f"x_max must be <= 2^63, got {x_max}")
+    if x_max > X_MAX_LIMIT:
+        raise ValueError(f"x_max must be <= 10^14, got {x_max}")
 
 
-# -- Hardy-Littlewood constants ------------------------------------------------
+# -- the family sieve -----------------------------------------------------------
 
 
 @lru_cache(maxsize=4)
@@ -259,6 +257,109 @@ def _odd_primes_from_5(bound: int):
             sieve[i * i :: i] = False
     primes = np.nonzero(sieve)[0].astype(np.int64)
     return primes[primes >= 5]
+
+
+def _powmod(base, exp, q):
+    """base^exp mod q elementwise, for int64 arrays with 0 <= exp and q < 2^24."""
+    result = np.ones_like(q)
+    base = base % q
+    exp = exp.copy()
+    while exp.any():
+        result = np.where(exp & 1, result * base % q, result)
+        base = base * base % q
+        exp >>= 1
+    return result
+
+
+@lru_cache(maxsize=4)
+def _sieve_table(bound: int):
+    """The primes 5 <= q <= bound and what `_sqrt_mod` needs of each.
+
+    q, 24^-1 mod q, S and Q with q - 1 = Q 2^S and Q odd, and g = z^Q for
+    the least quadratic non-residue z mod q, so that g has order 2^S.
+    Shared by every family sieved up to the same bound.
+    """
+    q = _odd_primes_from_5(bound)
+    inv24 = _powmod(np.full_like(q, 24), q - 2, q)
+    s_exp = np.log2((q - 1) & (1 - q)).astype(np.int64)
+    odd = (q - 1) >> s_exp
+    z = np.zeros_like(q)
+    todo = np.arange(q.size)
+    a = 2
+    while todo.size:
+        qt = q[todo]
+        found = _powmod(np.full_like(qt, a), (qt - 1) // 2, qt) == qt - 1
+        z[todo[found]] = a
+        todo = todo[~found]
+        a += 1
+    return q, inv24, s_exp, odd, _powmod(z, odd, q)
+
+
+@lru_cache(maxsize=32)
+def _sqrt_mod(d: int, bound: int):
+    """s with s^2 = d (mod q) for each sieving prime q, and -1 where d is a non-residue.
+
+    Tonelli-Shanks over all q at once.  x = d^((Q+1)/2) and t = d^Q keep
+    x^2 = d t.  At each i = S-2, ..., 0 where t^(2^i) = -1, x is multiplied
+    by h = g^(2^(S-2-i)), of order 2^(i+2), and t by h^2, which halves the
+    order of t, so t ends at 1.  For a non-residue d no x has x^2 = d, and
+    the x left over fails that check.
+    """
+    q, _, s_exp, odd, g = _sieve_table(bound)
+    a = d % q
+    y = _powmod(a, (odd - 1) // 2, q)
+    x = y * a % q
+    t = x * y % q
+    h = g.copy()
+    for i in range(int(s_exp.max(initial=0)) - 2, -1, -1):
+        live = np.flatnonzero(s_exp >= i + 2)
+        ql, tl, hl = q[live], t[live], h[live]
+        ti = tl
+        for _ in range(i):
+            ti = ti * ti % ql
+        flip = ti != 1
+        x[live] = np.where(flip, x[live] * hl % ql, x[live])
+        t[live] = np.where(flip, tl * hl % ql * hl % ql, tl)
+        h[live] = hl * hl % ql
+    x[x * x % q != a] = -1
+    return x
+
+
+def _sieve_family(fam: PrimeFamily, k_min: int, x_max: int):
+    """The k >= k_min with f(k) prime and at most x_max, and those f(k).
+
+    f(k) is struck for each prime q <= sqrt(x_max) that divides it, unless
+    f(k) = q.  q = 2 tests f(k) directly; q = 3 never divides f(k) = c
+    (mod 3), as an admissible c is prime to 3.  For q >= 5,
+    144 f(k) = (72 k + 3 (r+3))^2 - 9 d, so q | f(k) exactly when
+    k = (-(r+3) +- sqrt(d)) 24^-1 (mod q): never when d is a non-residue,
+    at one double root when q | d.  What is left with f(k) >= 2 is prime.
+    """
+    r3 = fam.r + 3
+    k_end = math.isqrt(x_max // 36) + 2         # f(k) >= 36 k^2 > x_max from k_end - 1 on
+    k_min = min(k_min, k_end)
+    ks = np.arange(k_min, k_end, dtype=np.int64)
+    values = 36 * ks * ks + 3 * r3 * ks + fam.c        # increasing for k >= 0
+    n_k = int(np.searchsorted(values, x_max, side="right"))
+    ks, values = ks[:n_k], values[:n_k]
+    prime = (values >= 2) & ((values % 2 == 1) | (values == 2))
+    bound = math.isqrt(x_max)
+    q, inv24 = _sieve_table(bound)[:2]
+    s = _sqrt_mod(fam.reduced_discriminant, bound)
+    one, two = s >= 0, s > 0        # q has a root; q has a second, distinct root
+    q = np.concatenate([q[one], q[two]])
+    roots = np.concatenate([(s[one] - r3) * inv24[one], (-s[two] - r3) * inv24[two]]) % q
+    # every hit k_min + offset, offset = (root - k_min) mod q + j q, below n_k
+    offset = (roots - k_min) % q
+    hits_per_root = np.maximum(0, (n_k - 1 - offset) // q + 1)
+    step = np.repeat(q, hits_per_root)
+    j = np.arange(step.size) - np.repeat(np.cumsum(hits_per_root) - hits_per_root, hits_per_root)
+    hits = np.repeat(offset, hits_per_root) + j * step
+    prime[hits[values[hits] != step]] = False
+    return ks[prime], values[prime]
+
+
+# -- Hardy-Littlewood constants ------------------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -276,8 +377,7 @@ def _hl_product(reduced_discriminant: int, prime_bound: int) -> float:
     table = np.array(
         [_jacobi(d, u) if u % 2 else 0 for u in range(period)], dtype=np.float64
     )
-    small = primes[primes <= 2 * abs(d)]
-    large = primes[primes > 2 * abs(d)]
+    small, large = np.split(primes, [np.searchsorted(primes, 2 * abs(d), side="right")])
     product = 1.0
     for p in small.tolist():
         chi = legendre_symbol(d, p)
@@ -324,31 +424,11 @@ def hardy_littlewood_density(r: int, c: int, prime_bound: int = 10**7) -> float:
 # -- whole-table scans ----------------------------------------------------------
 
 
-def _scan_one(args: tuple[int, int, int]) -> FamilyReport:
-    r, c, x_max = args
-    return family_primes(r, c, x_max)
+def scan_families(x_max: int, rows: list[tuple[int, int]] | None = None) -> list[FamilyReport]:
+    """Prime scans for the requested (r, c) families, in (r, c) order.
 
-
-def scan_families(
-    x_max: int,
-    rows: list[tuple[int, int]] | None = None,
-    processes: int = 1,
-) -> list[FamilyReport]:
-    """Prime scans for the requested (r, c) families, optionally in parallel.
-
-    Results are returned in (r, c) order regardless of scheduling; bad input
-    raises before any worker process starts.
+    Bad input raises before any family is scanned.
     """
-    if processes < 1:
-        raise ValueError(f"processes must be >= 1, got {processes}")
     _check_x_max(x_max)
     families = all_families() if rows is None else [family(r, c) for r, c in sorted(rows)]
-    jobs = [(f.r, f.c, x_max) for f in families]
-    if processes > 1 and len(jobs) > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(processes) as pool:
-            reports = pool.map(_scan_one, jobs)
-    else:
-        reports = [_scan_one(job) for job in jobs]
-    return reports
+    return [family_primes(f.r, f.c, x_max) for f in families]

@@ -223,7 +223,7 @@ def test_criterion_07_first_primes_match_reference(table2_fixture):
 
 def test_criterion_08_counts_to_1e12_match_reference(table2_fixture):
     t0 = time.monotonic()
-    reports = scan_families(10**12, processes=2)
+    reports = scan_families(10**12)
     mismatches = []
     window_breaks = []
     for rep in reports:

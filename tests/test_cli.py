@@ -73,9 +73,8 @@ def test_cli_bad_input_is_a_clean_error(capsys):
         ["spectrum", "--subset", "m=3;pairs=9;delta=0;ypairs=0"],
         ["spectrum", "--subset", "m=3;pairs=1,2;delta=0;ypairs=0,1,2;colour=red"],  # unknown field
         ["exceptional", "--p", str(2**64 + 13)],        # prime, but above the proven Miller-Rabin range
-        ["table2", "--rows", "9,7", "--xmax", "20000", "--threads", "0"],
-        ["table2", "--rows", "9,7", "--xmax", "20000", "--threads", "-4"],
         ["table2", "--rows", "9,7", "--xmax", "-10"],
+        ["table2", "--rows", "9,7", "--xmax", str(10**14 + 1)],    # above the sieve's limit
         ["lbound", "--m", "21", "--exact"],     # above EXACT_SCAN_MAX_M
         ["lbound", "--m", "-3", "--exact"],
     ):
@@ -92,9 +91,12 @@ def test_table2_rejects_bad_input_before_scanning(capsys, monkeypatch, tmp_path)
 
     monkeypatch.setattr(primes, "scan_families", no_scan)
     missing = str(tmp_path / "missing.csv")
+    short = tmp_path / "short.csv"
+    short.write_text("r,c,k_threshold\n9,7,1\n")
     for argv, error in (
         (["--prime-bound", "5"], "prime_bound must be >= 1000, got 5"),
         (["--fixture", missing], f"[Errno 2] No such file or directory: '{missing}'"),
+        (["--fixture", str(short)], f"fixture {short} lacks column(s): p1, p2, p3, p4, p5, count, density"),
     ):
         code = main(["table2", "--xmax", str(10**11), *argv])
         captured = capsys.readouterr()

@@ -285,39 +285,54 @@ def test_family_primes_window_filter():
     rep = family_primes(0, -5, 10**6, k_min=9)
     assert rep.first_primes == (7177, 11821, 20947, 52321, 121621)
     assert rep.count == 18
-    for x_max in (2**63 + 1, -1, -10):
-        with pytest.raises(ValueError):
+    for x_max in (10**14 + 1, 2**63 + 1, -1, -10):
+        with pytest.raises(ValueError, match="x_max"):
             family_primes(0, -5, x_max)
     assert family_primes(0, -5, 0).count == 0
+    assert family_primes(0, -5, 10**6, k_min=10**30).count == 0
 
 
-def test_scan_families_parallel_matches_serial():
-    rows = [(0, -5), (9, 7), (21, 31)]
-    serial = scan_families(10**6, rows=rows, processes=1)
-    parallel = scan_families(10**6, rows=rows, processes=2)
-    assert serial == parallel
+def _family_primes_by_loop(r, c, x_max, k_min):
+    """The per-k Miller-Rabin scan: first five window primes, count, mismatches."""
+    fam = family(r, c)
+    found, mismatches = [], 0
+    k = k_min
+    while (value := fam.value(k)) <= x_max:
+        if is_prime(value):
+            if trivial_bound(value) == 24 * k + r:
+                found.append(value)
+            else:
+                mismatches += 1
+        k += 1
+    return tuple(found[:5]), len(found), mismatches
 
 
-def test_scan_families_rejects_nonpositive_processes():
-    for processes in (0, -4):
-        with pytest.raises(ValueError, match="processes"):
-            scan_families(10**6, rows=[(9, 7)], processes=processes)
+def test_family_sieve_matches_miller_rabin():
+    """The sieve and Miller-Rabin are independent primality routes.
+
+    k_min = 0 and 1 reach f(k) < 2, f(k) equal to a sieving prime and
+    primes outside their window; below x_max = 25 no q >= 5 sieves.
+    """
+    cases = [(10**6, 0), (10**6, 1), (0, 0)] + [(x_max, 0) for x_max in range(1, 200, 7)]
+    for fam in all_families():
+        for x_max, k_min in [(10**8, fam.k_threshold), *cases]:
+            rep = family_primes(fam.r, fam.c, x_max, k_min=k_min)
+            got = (rep.first_primes, rep.count, rep.window_mismatches)
+            assert got == _family_primes_by_loop(fam.r, fam.c, x_max, k_min), (fam, x_max, k_min)
 
 
 def test_scan_families_rejects_bad_input_before_starting_workers(monkeypatch):
-    import multiprocessing
+    def no_scan(*args, **kwargs):
+        pytest.fail("a family was scanned for input that cannot be scanned")
 
-    def no_pool(*args, **kwargs):
-        pytest.fail("a worker pool was started for input that cannot be scanned")
-
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-    for x_max in (-10, 2**63 + 1):
+    monkeypatch.setattr(primes, "family_primes", no_scan)
+    for x_max in (-10, 10**14 + 1):
         with pytest.raises(ValueError, match="x_max"):
-            scan_families(x_max, rows=[(0, -5), (9, 7)], processes=2)
+            scan_families(x_max, rows=[(0, -5), (9, 7)])
     with pytest.raises(ValueError, match="not an admissible constant"):
-        scan_families(10**6, rows=[(9, 7), (9, 99)], processes=2)
+        scan_families(10**6, rows=[(9, 7), (9, 99)])
     with pytest.raises(ValueError, match="r must be in"):
-        scan_families(10**6, rows=[(9, 7), (24, 0)], processes=2)
+        scan_families(10**6, rows=[(9, 7), (24, 0)])
 
 
 def test_hl_constant_depends_only_on_reduced_discriminant():
