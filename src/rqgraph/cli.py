@@ -154,6 +154,8 @@ TABLE_FIELDS = ["r", "c", "k_threshold", "p1", "p2", "p3", "p4", "p5", "count", 
 def _parse_rows(text: str) -> list[tuple[int, int]] | None:
     if text == "all":
         return None
+    if text.count(",") != 1:
+        raise ValueError(f'--rows must be "all" or "r,c", got {text!r}')
     r, c = text.split(",")
     return [(int(r), int(c))]
 

@@ -38,6 +38,10 @@ THRESHOLD_SCAN_HORIZON = 10_000
 # below 2^24, so products of two residues mod q fit in int64 with room to spare.
 X_MAX_LIMIT = 10**14
 
+# Bounds the Hardy-Littlewood product's memory, which grows linearly with the
+# bound: a one-row table2 peaks at 174 MB resident (ru_maxrss) at 10^8.
+PRIME_BOUND_LIMIT = 10**8
+
 
 @dataclass(frozen=True)
 class PrimeFamily:
@@ -46,7 +50,7 @@ class PrimeFamily:
     reduced_discriminant: int   # (r+3)^2 - 16c; the full discriminant is 9x this
     k_threshold: int
 
-    def value(self, k: int) -> int:
+    def value(self, k: int | np.ndarray) -> int | np.ndarray:
         return 36 * k * k + 3 * (self.r + 3) * k + self.c
 
 
@@ -129,10 +133,7 @@ def hardy_littlewood_admissible(a: int, b: int, c: int) -> bool:
 
 
 def _is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    root = math.isqrt(n)
-    return root * root == n
+    return n >= 0 and math.isqrt(n) ** 2 == n
 
 
 def candidate_constants(r: int) -> tuple[list[int], list[int]]:
@@ -255,8 +256,7 @@ def _odd_primes_from_5(bound: int):
     for i in range(2, math.isqrt(bound) + 1):
         if sieve[i]:
             sieve[i * i :: i] = False
-    primes = np.nonzero(sieve)[0].astype(np.int64)
-    return primes[primes >= 5]
+    return np.flatnonzero(sieve)[2:]
 
 
 def _powmod(base, exp, q):
@@ -339,7 +339,7 @@ def _sieve_family(fam: PrimeFamily, k_min: int, x_max: int):
     k_end = math.isqrt(x_max // 36) + 2         # f(k) >= 36 k^2 > x_max from k_end - 1 on
     k_min = min(k_min, k_end)
     ks = np.arange(k_min, k_end, dtype=np.int64)
-    values = 36 * ks * ks + 3 * r3 * ks + fam.c        # increasing for k >= 0
+    values = fam.value(ks)        # increasing for k >= 0
     n_k = int(np.searchsorted(values, x_max, side="right"))
     ks, values = ks[:n_k], values[:n_k]
     prime = (values >= 2) & ((values % 2 == 1) | (values == 2))
@@ -352,9 +352,9 @@ def _sieve_family(fam: PrimeFamily, k_min: int, x_max: int):
     # every hit k_min + offset, offset = (root - k_min) mod q + j q, below n_k
     offset = (roots - k_min) % q
     hits_per_root = np.maximum(0, (n_k - 1 - offset) // q + 1)
+    first = np.cumsum(hits_per_root) - hits_per_root
     step = np.repeat(q, hits_per_root)
-    j = np.arange(step.size) - np.repeat(np.cumsum(hits_per_root) - hits_per_root, hits_per_root)
-    hits = np.repeat(offset, hits_per_root) + j * step
+    hits = np.repeat(offset - first * q, hits_per_root) + np.arange(step.size) * step
     prime[hits[values[hits] != step]] = False
     return ks[prime], values[prime]
 
@@ -367,9 +367,9 @@ def _hl_product(reduced_discriminant: int, prime_bound: int) -> float:
     """Product of (1 - chi(p)/(p-1)) over primes 5 <= p <= prime_bound.
 
     chi(p) = (reduced_discriminant / p) is periodic in p with period
-    4|discriminant| (the discriminant is 0 or 1 mod 4 here), so beyond the
-    primes dividing the discriminant a lookup table replaces per-prime
-    symbol computations.
+    4|discriminant| (the discriminant is 0 or 1 mod 4 here), so one table of
+    Jacobi symbols over a period gives chi(p) for every p, including the
+    primes that divide the discriminant.
     """
     d = reduced_discriminant
     primes = _odd_primes_from_5(prime_bound)
@@ -377,20 +377,17 @@ def _hl_product(reduced_discriminant: int, prime_bound: int) -> float:
     table = np.array(
         [_jacobi(d, u) if u % 2 else 0 for u in range(period)], dtype=np.float64
     )
-    small, large = np.split(primes, [np.searchsorted(primes, 2 * abs(d), side="right")])
-    product = 1.0
-    for p in small.tolist():
-        chi = legendre_symbol(d, p)
-        if chi:
-            product *= 1.0 - chi / (p - 1)
-    chi_large = table[large % period]
-    product *= float(np.prod(1.0 - chi_large / (large - 1.0)))
-    return product
+    factors = 1.0 - table[primes % period] / (primes - 1.0)
+    n_small = int(np.searchsorted(primes, 2 * abs(d), side="right"))
+    # table2's printed densities, pinned by its golden output, depend on this rounding order
+    return math.prod(factors[:n_small].tolist()) * float(np.prod(factors[n_small:]))
 
 
 def check_prime_bound(prime_bound: int) -> None:
     if prime_bound < 10**3:
         raise ValueError(f"prime_bound must be >= 1000, got {prime_bound}")
+    if prime_bound > PRIME_BOUND_LIMIT:
+        raise ValueError(f"prime_bound must be <= {PRIME_BOUND_LIMIT}, got {prime_bound}")
 
 
 def hardy_littlewood_constant(r: int, c: int, prime_bound: int = 10**7) -> float:

@@ -75,6 +75,8 @@ def test_cli_bad_input_is_a_clean_error(capsys):
         ["exceptional", "--p", str(2**64 + 13)],        # prime, but above the proven Miller-Rabin range
         ["table2", "--rows", "9,7", "--xmax", "-10"],
         ["table2", "--rows", "9,7", "--xmax", str(10**14 + 1)],    # above the sieve's limit
+        ["table2", "--rows", "9"],
+        ["table2", "--rows", "9,7,1"],
         ["lbound", "--m", "21", "--exact"],     # above EXACT_SCAN_MAX_M
         ["lbound", "--m", "-3", "--exact"],
     ):
@@ -95,6 +97,7 @@ def test_table2_rejects_bad_input_before_scanning(capsys, monkeypatch, tmp_path)
     short.write_text("r,c,k_threshold\n9,7,1\n")
     for argv, error in (
         (["--prime-bound", "5"], "prime_bound must be >= 1000, got 5"),
+        (["--prime-bound", str(10**15)], f"prime_bound must be <= {primes.PRIME_BOUND_LIMIT}, got {10**15}"),
         (["--fixture", missing], f"[Errno 2] No such file or directory: '{missing}'"),
         (["--fixture", str(short)], f"fixture {short} lacks column(s): p1, p2, p3, p4, p5, count, density"),
     ):

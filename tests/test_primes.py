@@ -9,6 +9,7 @@ from rqgraph import primes
 from rqgraph.bounds import _gap_mp, gap_error_scale, interpolated_gap, trivial_bound
 from rqgraph.spectra import TIE_TOL, at_or_below
 from rqgraph.primes import (
+    PRIME_BOUND_LIMIT,
     THRESHOLD_SCAN_HORIZON,
     all_families,
     candidate_constants,
@@ -348,8 +349,41 @@ def test_hl_constant_depends_only_on_reduced_discriminant():
     assert abs(hardy_littlewood_constant(19, 29) - hardy_littlewood_constant(21, 31)) <= 1e-12
     with pytest.raises(ValueError):
         hardy_littlewood_constant(1, 1, 10**5)  # square discriminant
-    with pytest.raises(ValueError):
+
+
+def test_hl_constant_rejects_prime_bound_out_of_range():
+    with pytest.raises(ValueError, match="prime_bound must be >= 1000"):
         hardy_littlewood_constant(0, -5, 100)
+    with pytest.raises(ValueError, match=f"prime_bound must be <= {PRIME_BOUND_LIMIT}, got {PRIME_BOUND_LIMIT + 1}"):
+        hardy_littlewood_constant(0, -5, PRIME_BOUND_LIMIT + 1)
+
+
+def test_hl_constant_rounding_is_pinned():
+    """Exact values, one family per reduced discriminant, at prime_bound 10^5.
+
+    table2 prints these products to 15 digits, so a change in the order of
+    multiplication changes its output; this test shows it without a 10^7 run.
+    """
+    expected = {
+        (4, 2): "0x1.92d045f849e8cp+0",  # d = 17
+        (3, 1): "0x1.2e92b1c2cdc03p+0",  # d = 20
+        (1, -1): "0x1.3ba0544299c5ap+0",  # d = 32
+        (4, 1): "0x1.9a745a9069067p+0",  # d = 33
+        (0, -2): "0x1.1fe3febf63d5bp+0",  # d = 41
+        (5, 1): "0x1.621cb391f40e4p+0",  # d = 48
+        (3, -1): "0x1.9d24b8265d37fp+0",  # d = 52
+        (2, -2): "0x1.5d2a24f5c07aep+0",  # d = 57
+        (4, -1): "0x1.133b4adb2fe76p+0",  # d = 65
+        (0, -4): "0x1.cd84974c94ac6p+0",  # d = 73
+        (5, -1): "0x1.2e92b1c2cdbe2p+0",  # d = 80
+        (7, 1): "0x1.db1a3891a4c05p-1",  # d = 84
+        (0, -5): "0x1.f5a5d0f6e7d30p-1",  # d = 89
+    }
+    assert sorted(family(r, c).reduced_discriminant for r, c in expected) == sorted(
+        {fam.reduced_discriminant for fam in all_families()}
+    )
+    for (r, c), value in expected.items():
+        assert hardy_littlewood_constant(r, c, 10**5) == float.fromhex(value), (r, c)
 
 
 def test_hl_constant_against_direct_product():
