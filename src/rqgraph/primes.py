@@ -19,8 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bounds import MIN_EXCEPTIONAL_PRIME, ExceptionalVerdict, _check_scope, _gap_mp, gap_error_scale
-from .bounds import interpolated_gap, trivial_bound
+from .bounds import MIN_EXCEPTIONAL_PRIME, ExceptionalVerdict, _check_scope, _gap, _gap_arguments, _gap_mp
+from .bounds import gap_error_scale, trivial_bound
 from .spectra import at_or_below, tie_window
 
 # Strong-pseudoprime witnesses proving primality for every n < _MR_LIMIT = 2^64.
@@ -136,7 +136,8 @@ def _is_square(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
 
 
-def candidate_constants(r: int) -> tuple[list[int], list[int]]:
+@lru_cache(maxsize=None)
+def candidate_constants(r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The six sliding constants for residue r, and the survivors.
 
     c survives when 36 x^2 + 3(r+3) x + c is `hardy_littlewood_admissible`:
@@ -146,8 +147,8 @@ def candidate_constants(r: int) -> tuple[list[int], list[int]]:
     if not 0 <= r <= 23:
         raise ValueError(f"r must be in [0, 23], got {r}")
     top = (r + 3) ** 2 // 16
-    candidates = [top + s for s in range(-5, 1)]
-    return candidates, [c for c in candidates if hardy_littlewood_admissible(36, 3 * (r + 3), c)]
+    candidates = tuple(top + s for s in range(-5, 1))
+    return candidates, tuple(c for c in candidates if hardy_littlewood_admissible(36, 3 * (r + 3), c))
 
 
 @lru_cache(maxsize=None)
@@ -164,8 +165,8 @@ def derive_k_threshold(r: int, c: int) -> int:
     if c not in allowed:
         raise ValueError(f"c={c} is not an admissible constant for r={r}")
     ks = np.arange(1, THRESHOLD_SCAN_HORIZON + 1)
-    values = 36 * ks * ks + 3 * (r + 3) * ks + c
-    gap = interpolated_gap(r, c, ks)
+    values, l = _gap_arguments(r, c, ks)
+    gap = _gap(np, values, l)      # interpolated_gap(r, c, ks), with f(k) kept
     scale = gap_error_scale(int(values[-1]))
     holds = gap <= 0
     for i in np.flatnonzero(np.abs(gap) < tie_window(scale)).tolist():

@@ -83,13 +83,16 @@ def _block(xp, m, pairs, delta, ypairs, j):
     """(z_j, |w_j|) in the numeric module xp: math for doubles, mpmath at its working precision.
 
     With xp = NUMPY_SUMS, pairs and ypairs are sequences of index columns and
-    the sums come back as one array entry per row (per member).
+    the sums come back as one array entry per row (per member).  With
+    xp = NUMPY_ROWS, j is an array of frequencies of one parity and the sums
+    come back as one array entry per frequency.
     """
     step = xp.pi * j / m
     z = xp.fsum(2.0 * xp.cos(step * k1) for k1 in pairs)
+    odd = (j[0] if isinstance(j, np.ndarray) else j) % 2
     if delta:
-        z += -1.0 if j % 2 else 1.0
-    if j % 2:
+        z += -1.0 if odd else 1.0
+    if odd:
         return z, 0.0 * step    # +0.0 (or mpf 0): step > 0
     re = xp.fsum(xp.cos(step * k2) for k2 in ypairs)
     im = xp.fsum(xp.sin(step * k2) for k2 in ypairs)
@@ -101,6 +104,36 @@ def _block(xp, m, pairs, delta, ypairs, j):
 # Uncompensated, they err by at most about m^2 EPS more than fsum, far below
 # `tie_window`'s 1e-6 floor for any m of the exhaustive scan.
 NUMPY_SUMS = SimpleNamespace(pi=np.pi, cos=np.cos, sin=np.sin, hypot=np.hypot, fsum=sum)
+
+
+def _column_fsums(terms):
+    """math.fsum down each column of the one (index x frequency) matrix in terms."""
+    (matrix,) = terms
+    return np.array(list(map(math.fsum, matrix.T.tolist())))
+
+
+def _hypots(re, im):
+    """math.hypot entry by entry: np.hypot differs from it in the last bit."""
+    return np.array(list(map(math.hypot, re.tolist(), im.tolist())))
+
+
+# numpy as `_block`'s numeric module over a row of frequencies j: pairs and
+# ypairs are each one column holding all of a subset's indices, so each sum is
+# one angle matrix, one np.cos or np.sin pass and one math.fsum per frequency.
+# np.cos and np.sin return the C library's doubles, as math.cos and math.sin
+# do (tests/test_spectra.py checks the spectra to the bit), so every value is
+# the double that xp = math gives.
+NUMPY_ROWS = SimpleNamespace(pi=np.pi, cos=np.cos, sin=np.sin, hypot=_hypots, fsum=_column_fsums)
+
+# Angle-matrix entries per `_block` call of `_raw_values`: it takes the
+# frequencies a block at a time, so it builds no array of O(m |S|) entries.
+BLOCK_ENTRIES = 1 << 12
+
+# Below this many angles, (m - 1) (#pairs + #ypairs), numpy's fixed cost per
+# call outweighs its saving per angle (crossover about 130 on python 3.11,
+# numpy 2.4, 2 vCPUs), so `_raw_values` takes the frequencies one at a time
+# in math.
+MIN_BLOCK_ANGLES = 128
 
 
 def mu_abs(subset: CayleySubset, j: int) -> float:
@@ -128,8 +161,26 @@ def _values(xp, subset: CayleySubset) -> list:
 
 @lru_cache(maxsize=1)
 def _raw_values(subset: CayleySubset) -> tuple[float, ...]:
-    """`_values` in doubles; cached for the latest subset only (callers go one at a time)."""
-    return tuple(float(v) for v in _values(math, subset))
+    """`_values` in doubles, to the bit; cached for the latest subset only (callers go one at a time).
+
+    From MIN_BLOCK_ANGLES angles on, `_block` runs over NUMPY_ROWS, on the odd
+    and then the even frequencies, BLOCK_ENTRIES // max(#pairs, #ypairs) of
+    them (at least one) per call.
+    """
+    m = subset.m
+    if (m - 1) * (len(subset.pair_bits) + len(subset.ypair_bits)) < MIN_BLOCK_ANGLES:
+        return tuple(float(v) for v in _values(math, subset))
+    pairs, ypairs = ([np.fromiter(b, float, len(b))[:, None]] for b in (subset.pair_bits, subset.ypair_bits))
+    width = 2 * max(1, BLOCK_ENTRIES // max(len(subset.pair_bits), len(subset.ypair_bits), 1))
+    vals = np.empty(2 * m + 2)
+    vals[:4] = one_dim_eigenvalues(subset)
+    for first in (1, 2):
+        for lo in range(first, m, width):
+            hi = min(lo + width, m)
+            z, w = _block(NUMPY_ROWS, m, pairs, subset.delta, ypairs, np.arange(lo, hi, 2.0))
+            vals[2 * lo + 2:2 * hi + 2:4] = z + w     # block j's two values sit at 2j + 2 and 2j + 3
+            vals[2 * lo + 3:2 * hi + 2:4] = z - w
+    return tuple(vals.tolist())
 
 
 def full_spectrum(subset: CayleySubset) -> Spectrum:

@@ -220,10 +220,17 @@ def enumerate_family(m: int, l: int, family: str = FAMILY_ALL) -> Iterator[Cayle
 
 
 def random_subset(m: int, l: int, rng, family: str = FAMILY_NONFULL_YCOSET) -> CayleySubset:
-    """One uniformly-chosen-split random generating subset with covalency l."""
+    """One uniformly-chosen-split random generating subset with covalency l.
+
+    For m >= 2, covalencies 4m - 3 and 4m - 2 have a split but no generating
+    member: the one y-pair there, with or without x^m, generates a subgroup
+    of order 4.  They raise ValueError, like covalencies with no split.
+    """
     splits = covalency_splits(m, l, family)
     if not splits:
         raise ValueError(f"no admissible (l1, l2) split for m={m}, l={l}, family={family}")
+    if m >= 2 and l >= 4 * m - 3:
+        raise ValueError(f"no generating subset of Q_{{4m}} has covalency l={l} >= 4m - 3, m={m}")
     while True:
         l1, l2 = splits[rng.randrange(len(splits))]
         delta, n_pairs, n_ypairs = split_sizes(m, l1, l2)

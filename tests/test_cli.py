@@ -1,10 +1,13 @@
 import dataclasses
 import json
 
+import mpmath
+import numpy as np
 import pytest
 
 from rqgraph import bounds, dense, primes, spectra
 from rqgraph.cli import main
+from rqgraph.subsets import full_subset
 from conftest import DATA_DIR
 
 FIXTURE = str(DATA_DIR / "table2.csv")
@@ -52,20 +55,27 @@ def test_spectrum_non_ramanujan_witness(capsys):
 
 
 def test_spectrum_evaluates_each_block_once(capsys, monkeypatch):
-    """full_spectrum, lambda_max_nontrivial and is_ramanujan share one pass."""
+    """full_spectrum, lambda_max_nontrivial and is_ramanujan share one pass:
+    every frequency 1..m-1 is evaluated once, in doubles, and mpmath never,
+    both below spectra.MIN_BLOCK_ANGLES (one frequency at a time) and above
+    it (blocks of frequencies)."""
     calls = []
     original = spectra._block
 
     def counting(xp, *blocks):
-        calls.append((xp.__name__, blocks[-1]))
+        calls.append((xp, np.atleast_1d(blocks[-1]).tolist()))
         return original(xp, *blocks)
 
     monkeypatch.setattr(spectra, "_block", counting)
-    spectra._raw_values.cache_clear()
-    code, out = run(capsys, ["spectrum", "--subset", "m=12;pairs=1,5,7;delta=1;ypairs=0,3,11"])
-    assert code == 0
-    assert json.loads(out)["results"]["degree"] == 13
-    assert sorted(calls) == [("math", j) for j in range(1, 12)]
+    for literal, degree, m in (("m=12;pairs=1,5,7;delta=1;ypairs=0,3,11", 13, 12),
+                               (full_subset(40).literal(), 159, 40)):
+        calls.clear()
+        spectra._raw_values.cache_clear()
+        code, out = run(capsys, ["spectrum", "--subset", literal])
+        assert code == 0
+        assert json.loads(out)["results"]["degree"] == degree
+        assert mpmath not in [xp for xp, _ in calls]
+        assert sorted(j for _, js in calls for j in js) == list(range(1, m))
 
 
 def test_cli_bad_input_is_a_clean_error(capsys):

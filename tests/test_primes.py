@@ -95,13 +95,13 @@ def test_candidate_constants():
     for r in range(24):
         cand, allowed = candidate_constants(r)
         assert len(cand) == 6
-        assert cand == [(r + 3) ** 2 // 16 + s for s in range(-5, 1)]
+        assert cand == tuple((r + 3) ** 2 // 16 + s for s in range(-5, 1))
         assert set(allowed) <= set(cand)
         total += len(allowed)
     assert total == 54
-    assert candidate_constants(0)[1] == [-5, -4, -2]
-    assert candidate_constants(1)[1] == [-1]
-    assert candidate_constants(9)[1] == [7]
+    assert candidate_constants(0)[1] == (-5, -4, -2)
+    assert candidate_constants(1)[1] == (-1,)
+    assert candidate_constants(9)[1] == (7,)
     with pytest.raises(ValueError):
         candidate_constants(24)
 
@@ -179,14 +179,15 @@ def test_derive_k_threshold_matches_per_k_loop():
 
 
 def _fake_gap(values):
-    """A stand-in gap: values[k] where given, -1 elsewhere; scalar or array k."""
+    """A stand-in for bounds._gap(np, t, l) over the scan: values[k] where
+    given, -1 elsewhere.  k = l // 24, as l = 24 k + r + 1 with r <= 22."""
 
-    def gap(r, c, k):
-        k = np.asarray(k)
+    def gap(xp, t, l):
+        k = l // 24
         out = np.full(k.shape, -1.0)
         for key, v in values.items():
             out[k == key] = v
-        return out if out.ndim else float(out)
+        return out
 
     return gap
 
@@ -194,19 +195,19 @@ def _fake_gap(values):
 def test_threshold_premise_checks_still_raise(monkeypatch):
     derive = derive_k_threshold.__wrapped__
     # (6, 4): f(1) = 67, so the condition holds from k = 1 until the gap turns
-    monkeypatch.setattr(primes, "interpolated_gap", _fake_gap({5: 0.5, 9: 0.5}))
+    monkeypatch.setattr(primes, "_gap", _fake_gap({5: 0.5, 9: 0.5}))
     broke = r"^threshold condition for \(r=6, c=4\) broke at k={} after first holding at k={}$"
     with pytest.raises(ArithmeticError, match=broke.format(5, 1)):
         derive(6, 4)
     last = THRESHOLD_SCAN_HORIZON
-    monkeypatch.setattr(primes, "interpolated_gap", _fake_gap({1: 0.5, 2: 0.5, last: 0.5}))
+    monkeypatch.setattr(primes, "_gap", _fake_gap({1: 0.5, 2: 0.5, last: 0.5}))
     with pytest.raises(ArithmeticError, match=broke.format(last, 3)):
         derive(6, 4)
-    monkeypatch.setattr(primes, "interpolated_gap", lambda r, c, k: np.ones(len(k)))
+    monkeypatch.setattr(primes, "_gap", lambda xp, t, l: np.ones(len(l)))
     with pytest.raises(ArithmeticError, match=r"^no threshold found for \(r=6, c=4\) within the horizon$"):
         derive(6, 4)
     # f(k) >= 67 still gates the threshold: (0, -5) has f(1) = 40
-    monkeypatch.setattr(primes, "interpolated_gap", _fake_gap({}))
+    monkeypatch.setattr(primes, "_gap", _fake_gap({}))
     assert derive(0, -5) == 2
     assert derive(6, 4) == 1
 
@@ -215,7 +216,7 @@ def test_threshold_near_zero_gap_is_decided_in_mpmath(monkeypatch):
     """A gap inside the near-tie window is decided by the mpf, not by its
     double; gaps outside the window (2e-6 here) never reach mpmath."""
     fake = _fake_gap({1: 1.0, 2: 2e-6, 3: 1e-12, 5: -2e-6})
-    monkeypatch.setattr(primes, "interpolated_gap", fake)
+    monkeypatch.setattr(primes, "_gap", fake)
     escalated = []
 
     def mp_gap(r, c, k):
@@ -226,13 +227,13 @@ def test_threshold_near_zero_gap_is_decided_in_mpmath(monkeypatch):
     assert derive_k_threshold.__wrapped__(6, 4) == 3
     assert escalated == [3]
     fake = _fake_gap({1: 1.0, 2: 1.0, 4: -1e-12})
-    monkeypatch.setattr(primes, "interpolated_gap", fake)
+    monkeypatch.setattr(primes, "_gap", fake)
     with pytest.raises(ArithmeticError, match="broke at k=4 after first holding at k=3"):
         derive_k_threshold.__wrapped__(6, 4)
     assert escalated == [3, 4]
     # decided on the mpf: just above TIE_TOL is above, though its double is not
     fake = _fake_gap({1: 1.0, 2: 1.0, 3: 1.0, 4: 1e-12})
-    monkeypatch.setattr(primes, "interpolated_gap", fake)
+    monkeypatch.setattr(primes, "_gap", fake)
     monkeypatch.setattr(primes, "_gap_mp", lambda r, c, k: mpmath.mpf(TIE_TOL) + mpmath.mpf("1e-55"))
     assert derive_k_threshold.__wrapped__(6, 4) == 5
 

@@ -124,6 +124,38 @@ def test_trace_and_moment_identities_random(m):
         assert abs(math.fsum(v * v for v in vals) - 4 * m * s.size) < 1e-5
 
 
+def _scalar_spectrum(s):
+    """full_spectrum's values built from the scalar routes, one frequency at a time."""
+    raw = [float(v) for v in one_dim_eigenvalues(s)]
+    for j in range(1, s.m):
+        ev = two_dim_eigenvalues(s, j)
+        raw += [ev.plus, ev.minus]
+    return tuple(sorted(raw[:4] + 2 * raw[4:], reverse=True))
+
+
+def test_full_spectrum_is_bit_identical_to_the_scalar_sums(monkeypatch):
+    """The batched doubles equal two_dim_eigenvalues' math.fsum doubles with ==,
+    not within a tolerance: CLI output prints 15 significant digits.  Every
+    case takes the batched path, however few its angles."""
+    monkeypatch.setattr(spectra, "MIN_BLOCK_ANGLES", 0)
+    spectra._raw_values.cache_clear()
+    rng = random.Random(13)
+    cases = []
+    for m in range(1, 41):
+        for delta in (0, 1):
+            pairs = frozenset(rng.sample(range(1, m), rng.randrange(m)))
+            ypairs = frozenset(rng.sample(range(m), rng.randrange(m + 1)))
+            cases += [
+                CayleySubset(m, pairs, delta, ypairs),
+                CayleySubset(m, frozenset(), delta, ypairs),
+                CayleySubset(m, pairs, delta, frozenset()),
+            ]
+    big = full_subset(600)
+    assert (big.m - 1) * big.size > 50 * spectra.BLOCK_ENTRIES    # many blocks per parity
+    for s in cases + [big, random_subset(521, 900, rng, "s")]:
+        assert full_spectrum(s).values == _scalar_spectrum(s), s.literal()
+
+
 def test_mu_abs_examples():
     assert abs(mu_abs(full_subset(3), 1) - 1) < 1e-12
     assert abs(mu_abs(COCKTAIL, 2) - 2) < 1e-12

@@ -1,4 +1,5 @@
 import collections
+import random
 
 import pytest
 
@@ -11,6 +12,7 @@ from rqgraph.subsets import (
     extremal_subset,
     full_subset,
     parse_subset_literal,
+    random_subset,
     split_sizes,
 )
 from conftest import inverse_orbits, structural_subsets
@@ -232,3 +234,20 @@ def test_covalency_splits():
                 delta, n_pairs, n_ypairs = split_sizes(m, l1, l2)
                 assert 0 <= n_pairs <= m - 1 and 1 <= n_ypairs <= m, (m, l1, l2)
                 assert 2 * n_pairs + delta + 2 * n_ypairs == 4 * m - l, (m, l1, l2)
+
+
+def test_random_subset_raises_exactly_where_no_member_generates():
+    """A generating member of covalency l wherever enumerate_family has one;
+    ValueError wherever it has none (at m >= 2, l = 4m - 3 and 4m - 2 have
+    splits but no member: these used to loop forever)."""
+    rng = random.Random(4)
+    for family in ("s", "sprime"):
+        for m in range(1, 8):
+            for l in range(1, 4 * m):
+                if next(enumerate_family(m, l, family), None) is None:
+                    with pytest.raises(ValueError):
+                        random_subset(m, l, rng, family)
+                    continue
+                s = random_subset(m, l, rng, family)
+                assert s.covalency() == l and s.generates(), (family, m, l)
+                assert family == "s" or s.profile().l2 > 0
