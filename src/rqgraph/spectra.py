@@ -84,12 +84,12 @@ def _block(xp, m, pairs, delta, ypairs, j):
 
     With xp = NUMPY_SUMS, pairs and ypairs are sequences of index columns and
     the sums come back as one array entry per row (per member).  With
-    xp = NUMPY_ROWS, j is an array of frequencies of one parity and the sums
-    come back as one array entry per frequency.
+    xp = NUMPY_ROWS, j is a column of frequencies of one parity and the sums
+    come back as a column, one entry per frequency.
     """
     step = xp.pi * j / m
     z = xp.fsum(2.0 * xp.cos(step * k1) for k1 in pairs)
-    odd = (j[0] if isinstance(j, np.ndarray) else j) % 2
+    odd = (j.flat[0] if isinstance(j, np.ndarray) else j) % 2
     if delta:
         z += -1.0 if odd else 1.0
     if odd:
@@ -106,34 +106,62 @@ def _block(xp, m, pairs, delta, ypairs, j):
 NUMPY_SUMS = SimpleNamespace(pi=np.pi, cos=np.cos, sin=np.sin, hypot=np.hypot, fsum=sum)
 
 
-def _column_fsums(terms):
-    """math.fsum down each column of the one (index x frequency) matrix in terms."""
+# An angle-matrix entry v (|v| <= 2) on the grid 2^-120, as is every |v| >= 2^-68,
+# is (a 2^80 + b 2^40 + c) 2^-120 for integer limbs |a| <= 2^41 and |b|, |c| < 2^40.
+# A row has at most m entries, and CayleySubset caps m at group.MAX_M = 2^20,
+# so each limb's int64 row sum stays below 2^20 2^41 = 2^61.
+_LIMB_BITS = 40
+
+
+def _row_fsums(terms):
+    """math.fsum along each row of the one (frequency x index) matrix in terms, as a column.
+
+    The limbs of a row add up exactly in int64, and the row's one Python int
+    rounds once to the nearest double, ties to even: fsum's correctly rounded
+    result, +0.0 for an exact zero.  A row with an entry off the grid (a
+    nonzero residue) goes to math.fsum itself.
+    """
     (matrix,) = terms
-    return np.array(list(map(math.fsum, matrix.T.tolist())))
+    rest = matrix * 2.0 ** _LIMB_BITS
+    limb_sums = []
+    for _ in range(3):
+        whole = np.trunc(rest)
+        rest -= whole
+        rest *= 2.0 ** _LIMB_BITS
+        limb_sums.append(whole.astype(np.int64).sum(axis=1).tolist())
+    sums = [math.ldexp(float((a << 2 * _LIMB_BITS) + (b << _LIMB_BITS) + c), -3 * _LIMB_BITS)
+            for a, b, c in zip(*limb_sums)]
+    for i in np.flatnonzero(rest.any(axis=1)):
+        sums[i] = math.fsum(matrix[i].tolist())
+    return np.array(sums)[:, None]
 
 
 def _hypots(re, im):
     """math.hypot entry by entry: np.hypot differs from it in the last bit."""
-    return np.array(list(map(math.hypot, re.tolist(), im.tolist())))
+    return np.array(list(map(math.hypot, re.ravel().tolist(), im.ravel().tolist()))).reshape(re.shape)
 
 
-# numpy as `_block`'s numeric module over a row of frequencies j: pairs and
-# ypairs are each one column holding all of a subset's indices, so each sum is
-# one angle matrix, one np.cos or np.sin pass and one math.fsum per frequency.
-# np.cos and np.sin return the C library's doubles, as math.cos and math.sin
-# do (tests/test_spectra.py checks the spectra to the bit), so every value is
-# the double that xp = math gives.
-NUMPY_ROWS = SimpleNamespace(pi=np.pi, cos=np.cos, sin=np.sin, hypot=_hypots, fsum=_column_fsums)
+# numpy as `_block`'s numeric module over a column of frequencies j: pairs and
+# ypairs are each one row holding all of a subset's indices, so each sum is one
+# (frequency x index) angle matrix, one np.cos or np.sin pass and one exact
+# sum per row.  np.cos and np.sin return the C library's doubles, as math.cos
+# and math.sin do (tests/test_spectra.py checks the spectra to the bit), so
+# every value is the double that xp = math gives.
+NUMPY_ROWS = SimpleNamespace(pi=np.pi, cos=np.cos, sin=np.sin, hypot=_hypots, fsum=_row_fsums)
 
 # Angle-matrix entries per `_block` call of `_raw_values`: it takes the
 # frequencies a block at a time, so it builds no array of O(m |S|) entries.
-BLOCK_ENTRIES = 1 << 12
+# The six l0 + 1 witness spectra at p = 503..599 take 0.167, 0.130, 0.116,
+# 0.105 and 0.145 s at 2^11 .. 2^15 entries (medians of 11, python 3.11,
+# numpy 2.4, 2 vCPUs).  At 2^15 each temporary array is 256 KiB, above
+# glibc's 128 KiB mmap threshold, and page faults (23,000 a run) take over.
+BLOCK_ENTRIES = 1 << 14
 
 # Below this many angles, (m - 1) (#pairs + #ypairs), numpy's fixed cost per
-# call outweighs its saving per angle (crossover about 130 on python 3.11,
-# numpy 2.4, 2 vCPUs), so `_raw_values` takes the frequencies one at a time
-# in math.
-MIN_BLOCK_ANGLES = 128
+# spectrum (about 140 us) outweighs its saving per angle (about 0.2 us), so
+# `_raw_values` takes the frequencies one at a time in math.  The two cross
+# between 600 and 700 angles (python 3.11, numpy 2.4, 2 vCPUs).
+MIN_BLOCK_ANGLES = 640
 
 
 def mu_abs(subset: CayleySubset, j: int) -> float:
@@ -170,16 +198,16 @@ def _raw_values(subset: CayleySubset) -> tuple[float, ...]:
     m = subset.m
     if (m - 1) * (len(subset.pair_bits) + len(subset.ypair_bits)) < MIN_BLOCK_ANGLES:
         return tuple(float(v) for v in _values(math, subset))
-    pairs, ypairs = ([np.fromiter(b, float, len(b))[:, None]] for b in (subset.pair_bits, subset.ypair_bits))
+    pairs, ypairs = ([np.fromiter(b, float, len(b))] for b in (subset.pair_bits, subset.ypair_bits))
     width = 2 * max(1, BLOCK_ENTRIES // max(len(subset.pair_bits), len(subset.ypair_bits), 1))
     vals = np.empty(2 * m + 2)
     vals[:4] = one_dim_eigenvalues(subset)
     for first in (1, 2):
         for lo in range(first, m, width):
             hi = min(lo + width, m)
-            z, w = _block(NUMPY_ROWS, m, pairs, subset.delta, ypairs, np.arange(lo, hi, 2.0))
-            vals[2 * lo + 2:2 * hi + 2:4] = z + w     # block j's two values sit at 2j + 2 and 2j + 3
-            vals[2 * lo + 3:2 * hi + 2:4] = z - w
+            z, w = _block(NUMPY_ROWS, m, pairs, subset.delta, ypairs, np.arange(lo, hi, 2.0)[:, None])
+            vals[2 * lo + 2:2 * hi + 2:4] = (z + w)[:, 0]     # block j's two values sit at 2j + 2 and 2j + 3
+            vals[2 * lo + 3:2 * hi + 2:4] = (z - w)[:, 0]
     return tuple(vals.tolist())
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from .group import GroupElement, generates_fast
+from .group import MAX_M, GroupElement, generates_fast
 
 FAMILY_ALL = "s"
 FAMILY_NONFULL_YCOSET = "sprime"
@@ -60,8 +60,8 @@ class CayleySubset:
 
     def __post_init__(self):
         m = self.m
-        if m < 1:
-            raise ValueError(f"m must be positive, got {m}")
+        if not 1 <= m <= MAX_M:
+            raise ValueError(f"m must be in [1, {MAX_M}], got {m}")
         if self.delta not in (0, 1):
             raise ValueError(f"delta must be 0 or 1, got {self.delta}")
         bad = [k for k in self.pair_bits if not 1 <= k <= m - 1]

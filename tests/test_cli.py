@@ -1,11 +1,12 @@
 import dataclasses
+import hashlib
 import json
 
 import mpmath
 import numpy as np
 import pytest
 
-from rqgraph import bounds, dense, primes, spectra
+from rqgraph import bounds, dense, primes, spectra, subsets
 from rqgraph.cli import main
 from rqgraph.subsets import full_subset
 from conftest import DATA_DIR
@@ -63,7 +64,7 @@ def test_spectrum_evaluates_each_block_once(capsys, monkeypatch):
     original = spectra._block
 
     def counting(xp, *blocks):
-        calls.append((xp, np.atleast_1d(blocks[-1]).tolist()))
+        calls.append((xp, np.ravel(blocks[-1]).tolist()))
         return original(xp, *blocks)
 
     monkeypatch.setattr(spectra, "_block", counting)
@@ -78,10 +79,37 @@ def test_spectrum_evaluates_each_block_once(capsys, monkeypatch):
         assert sorted(j for _, js in calls for j in js) == list(range(1, m))
 
 
+def _extremal(p):
+    """The l0 + 1 extremal subset at the prime p, as a literal."""
+    split = bounds.maximizing_split(bounds.trivial_bound(p) + 1)
+    return subsets.extremal_subset(p, split.l1, split.l2).literal()
+
+
+@pytest.mark.parametrize("argv, sha256", [
+    # below spectra.MIN_BLOCK_ANGLES: one frequency at a time
+    (["--subset", "m=12;pairs=1,5,7;delta=1;ypairs=0,3,11"],
+     "9a5931efaf1c0b376abdef886499cd22ef082d27c1f0d2e08ca9c47672d27fc8"),
+    (["--subset", full_subset(40).literal()],
+     "96e5ec77e587ab07d0455c0a15468a8ed227b708f2b1c8cae8351ad701d0fafa"),
+    # many blocks of frequencies; np.hypot in place of math.hypot changes p = 547's bytes
+    (["--subset", _extremal(503)],
+     "d70fb1f7a9acd58393af0a4239439d6423dd2de81e40f826deba491d34374d1e"),
+    (["--subset", _extremal(547), "--csv"],
+     "e9ad13d64b6de541a05307741405803015145f517cafc078cf7db2319dde9840"),
+], ids=["m12", "full40", "p503", "p547-csv"])
+def test_spectrum_stdout_is_pinned(capsys, argv, sha256):
+    """`rqgraph spectrum` prints the same bytes as when these digests were
+    recorded: a change in the last bit of any eigenvalue shows here."""
+    code, out = run(capsys, ["spectrum", *argv])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 def test_cli_bad_input_is_a_clean_error(capsys):
     for argv in (
         ["spectrum", "--subset", "m=3;pairs=9;delta=0;ypairs=0"],
         ["spectrum", "--subset", "m=3;pairs=1,2;delta=0;ypairs=0,1,2;colour=red"],  # unknown field
+        ["spectrum", "--subset", "m=1048577;pairs=1;delta=0;ypairs=0"],     # above group.MAX_M
         ["exceptional", "--p", str(2**64 + 13)],        # prime, but above the proven Miller-Rabin range
         ["table2", "--rows", "9,7", "--xmax", "-10"],
         ["table2", "--rows", "9,7", "--xmax", str(10**14 + 1)],    # above the sieve's limit

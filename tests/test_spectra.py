@@ -156,6 +156,40 @@ def test_full_spectrum_is_bit_identical_to_the_scalar_sums(monkeypatch):
         assert full_spectrum(s).values == _scalar_spectrum(s), s.literal()
 
 
+def test_row_sums_equal_fsum_to_the_bit(monkeypatch):
+    """spectra._row_fsums against math.fsum row by row, compared as bit
+    patterns (so +0.0 and -0.0 differ); the 1e-300 row is off the limbs'
+    grid and must be the only one summed by math.fsum itself."""
+    rows = [
+        [0.75, -1.5, 0.75],                       # cancels to an exact zero
+        [1.0, 2.0 ** -53],                        # half-ulp tie, to even: 1.0
+        [1.0, 2.0 ** -53, 2.0 ** -105],           # just above the tie
+        [-1.0, -(2.0 ** -53)],
+        [2.0, 2.0, -2.0, 2.0],
+        [-2.0, -2.0, -2.0, -2.0],
+        [math.cos(1.0)],
+    ]
+    rng = np.random.default_rng(14)
+    wide = rng.uniform(-2, 2, (300, 40)) * np.ldexp(1.0, rng.integers(-60, 1, (300, 40)))
+    cases = [np.array([row]) for row in rows] + [np.empty((3, 0)), wide]
+
+    def fsums(matrix):
+        return np.array([math.fsum(row) for row in matrix.tolist()])[:, None]
+
+    for matrix in cases:
+        got = spectra._row_fsums([matrix])
+        assert got.shape == (len(matrix), 1)
+        assert (got.view(np.int64) == fsums(matrix).view(np.int64)).all(), matrix
+
+    fallback = []
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda row: fallback.append(row) or fsum(row))
+    off_grid = np.array([[1.0, 2.0 ** -53, 0.0], [0.5, 1e-300, -0.5], [1.5, -0.25, 0.0]])
+    got = spectra._row_fsums([off_grid])
+    assert fallback == [[0.5, 1e-300, -0.5]]
+    assert got.view(np.int64).tolist() == np.array([[1.0], [1e-300], [1.25]]).view(np.int64).tolist()
+
+
 def test_mu_abs_examples():
     assert abs(mu_abs(full_subset(3), 1) - 1) < 1e-12
     assert abs(mu_abs(COCKTAIL, 2) - 2) < 1e-12
