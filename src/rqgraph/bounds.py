@@ -20,7 +20,7 @@ import numpy as np
 
 from . import spectra
 from .group import gcd_class
-from .subsets import FAMILY_ALL, CayleySubset, check_family, check_split, covalency_splits, split_sizes
+from .subsets import FAMILY_ALL, CayleySubset, check_split, covalency_splits, split_sizes
 
 EXACT_SCAN_MAX_M = 20
 _SCAN_CHUNK = 1 << 14    # index sets per numpy pass of the exhaustive scan; bounds its memory
@@ -74,7 +74,6 @@ def exact_safe_covalency(m: int, family: str = FAMILY_ALL) -> int:
     """
     if not 1 <= m <= EXACT_SCAN_MAX_M:
         raise ValueError(f"exhaustive scan needs 1 <= m <= {EXACT_SCAN_MAX_M}, got m={m}")
-    check_family(family)
     last_achievable = 0
     for l in range(1, 4 * m):
         empty = True

@@ -2,8 +2,9 @@
 
 Reports are deterministic: fixed key order, floats printed with 15
 significant digits, no timestamps.  Exit code 0 means every requested check
-passed; any failure yields exit code 1 and a machine-readable failure list
-in the payload.  `lbound --exact` requests no check: its
+passed; any failure yields exit code 1 and a machine-readable failure list:
+under `failures` in the JSON payload, or in CSV mode as one JSON line on
+stderr.  `lbound --exact` requests no check: its
 `matches_trivial_bound` is data, and a mismatch (sprime at m = 5 gives 8
 against l0 = 6) still exits 0.
 """
@@ -48,13 +49,16 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
-def _emit_csv(rows: list[dict], fieldnames: list[str]) -> None:
+def _emit_csv(rows: list[dict], fieldnames: list[str], failures: list[dict]) -> None:
+    """The rows as CSV on stdout; the failures, if any, as one JSON line on stderr."""
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
     writer.writeheader()
     for row in rows:
         writer.writerow({k: _format_cell(row.get(k, "")) for k in fieldnames})
     sys.stdout.write(buf.getvalue())
+    if failures:
+        sys.stderr.write(json.dumps({"failures": _normalize(failures)}, sort_keys=True) + "\n")
 
 
 def _format_cell(v) -> str:
@@ -66,20 +70,16 @@ def _format_cell(v) -> str:
 
 def cmd_spectrum(args) -> int:
     subset = parse_subset_literal(args.subset)
-    spec = spectra.full_spectrum(subset)
-    lam = spectra.lambda_max_nontrivial(subset)
-    bound = spectra.ramanujan_bound(subset)
-    verdict = spectra.is_ramanujan(subset)
     results = {
         "m": subset.m,
         "subset": subset.literal(),
         "degree": subset.size,
         "covalency": subset.covalency(),
         "profile": vars(subset.profile()),
-        "entries": [{"value": v, "multiplicity": k} for v, k in spec.entries],
-        "lambda_max_nontrivial": lam,
-        "ramanujan_bound": bound,
-        "ramanujan": verdict,
+        "entries": [{"value": v, "multiplicity": k} for v, k in spectra.full_spectrum(subset).entries],
+        "lambda_max_nontrivial": spectra.lambda_max_nontrivial(subset),
+        "ramanujan_bound": spectra.ramanujan_bound(subset),
+        "ramanujan": spectra.is_ramanujan(subset),
     }
     failures = []
     if args.oracle:
@@ -89,12 +89,10 @@ def cmd_spectrum(args) -> int:
         if not results["oracle_agrees"]:
             failures.append({"check": "oracle_agreement", "max_delta": delta})
     results["failures"] = failures
-    payload = _envelope("spectrum", {"subset": args.subset, "oracle": bool(args.oracle)}, results)
     if args.csv:
-        rows = [{"value": v, "multiplicity": k} for v, k in spec.entries]
-        _emit_csv(rows, ["value", "multiplicity"])
+        _emit_csv(results["entries"], ["value", "multiplicity"], failures)
     else:
-        _emit_json(payload)
+        _emit_json(_envelope("spectrum", {"subset": args.subset, "oracle": bool(args.oracle)}, results))
     return 1 if failures else 0
 
 
@@ -125,23 +123,20 @@ def cmd_exceptional(args) -> int:
     if p < primes.MIN_EXCEPTIONAL_PRIME:
         results["status"] = "out of theorem scope"
         results["reason"] = f"classification established only for primes >= {primes.MIN_EXCEPTIONAL_PRIME}"
-        payload = _envelope("exceptional", {"p": p, "method": args.method}, results)
-        _emit_json(payload)
-        return 0
-    verdicts = {}
-    for name, classify in (("spectral", bounds.is_exceptional_spectral), ("arithmetic", primes.is_exceptional_arithmetic)):
-        if args.method in (name, "both"):
-            v = classify(p)
-            verdicts[name] = {"exceptional": v.exceptional, "l0": v.l0, "witness": v.witness}
-    results["verdicts"] = verdicts
-    if args.method == "both":
-        agree = verdicts["spectral"]["exceptional"] == verdicts["arithmetic"]["exceptional"]
-        results["routes_agree"] = agree
-        if not agree:
-            failures.append({"check": "route_agreement", "p": p})
-    results["failures"] = failures
-    payload = _envelope("exceptional", {"p": p, "method": args.method}, results)
-    _emit_json(payload)
+    else:
+        verdicts = {}
+        for name, classify in (("spectral", bounds.is_exceptional_spectral), ("arithmetic", primes.is_exceptional_arithmetic)):
+            if args.method in (name, "both"):
+                v = classify(p)
+                verdicts[name] = {"exceptional": v.exceptional, "l0": v.l0, "witness": v.witness}
+        results["verdicts"] = verdicts
+        if args.method == "both":
+            agree = verdicts["spectral"]["exceptional"] == verdicts["arithmetic"]["exceptional"]
+            results["routes_agree"] = agree
+            if not agree:
+                failures.append({"check": "route_agreement", "p": p})
+        results["failures"] = failures
+    _emit_json(_envelope("exceptional", {"p": p, "method": args.method}, results))
     return 1 if failures else 0
 
 
@@ -189,14 +184,7 @@ def cmd_table2(args) -> int:
         fam = rep.family
         density = primes.hardy_littlewood_density(fam.r, fam.c, args.prime_bound)
         head = list(rep.first_primes) + [""] * (5 - len(rep.first_primes))
-        row = {
-            "r": fam.r,
-            "c": fam.c,
-            "k_threshold": fam.k_threshold,
-            "p1": head[0], "p2": head[1], "p3": head[2], "p4": head[3], "p5": head[4],
-            "count": rep.count,
-            "density": density,
-        }
+        row = dict(zip(TABLE_FIELDS, (fam.r, fam.c, fam.k_threshold, *head, rep.count, density)))
         out_rows.append(row)
         if rep.window_mismatches:
             failures.append(
@@ -207,18 +195,12 @@ def cmd_table2(args) -> int:
             if ref is None:
                 failures.append({"check": "fixture_row_present", "r": fam.r, "c": fam.c})
                 continue
-            diffs = {}
-            if fam.k_threshold != ref["k_threshold"]:
-                diffs["k_threshold"] = {"computed": fam.k_threshold, "fixture": ref["k_threshold"]}
-            if tuple(rep.first_primes) != ref["first_primes"]:
-                diffs["first_primes"] = {
-                    "computed": list(rep.first_primes),
-                    "fixture": list(ref["first_primes"]),
-                }
-            if rep.count != ref["count"]:
-                diffs["count"] = {"computed": rep.count, "fixture": ref["count"]}
-            if abs(density - ref["density"]) > 0.01:
-                diffs["density"] = {"computed": density, "fixture": ref["density"]}
+            computed = {**row, "first_primes": rep.first_primes}
+            diffs = {
+                key: {"computed": computed[key], "fixture": want}
+                for key, want in ref.items()
+                if (abs(computed[key] - want) > 0.01 if key == "density" else computed[key] != want)
+            }
             if diffs:
                 failures.append({"check": "fixture_diff", "r": fam.r, "c": fam.c, "diffs": diffs})
     if args.json:
@@ -234,9 +216,7 @@ def cmd_table2(args) -> int:
         )
         _emit_json(payload)
     else:
-        _emit_csv(out_rows, TABLE_FIELDS)
-        if failures:
-            sys.stderr.write(json.dumps({"failures": _normalize(failures)}, sort_keys=True) + "\n")
+        _emit_csv(out_rows, TABLE_FIELDS, failures)
     return 1 if failures else 0
 
 
@@ -269,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t2 = sub.add_parser("table2", help="regenerate the 54-family table (CSV by default)")
     t2.add_argument("--xmax", type=int, default=10**12)
-    t2.add_argument("--prime-bound", type=int, default=10**7)
+    t2.add_argument("--prime-bound", type=int, default=primes.DEFAULT_PRIME_BOUND)
     t2.add_argument("--rows", default="all", help='"all" or "r,c" for a single family')
     t2.add_argument("--fixture", default=None, help="fixture CSV to diff against")
     t2.add_argument("--json", action="store_true", help="JSON envelope instead of CSV")

@@ -41,6 +41,8 @@ X_MAX_LIMIT = 10**14
 # Bounds the Hardy-Littlewood product's memory, which grows linearly with the
 # bound: a one-row table2 peaks at 174 MB resident (ru_maxrss) at 10^8.
 PRIME_BOUND_LIMIT = 10**8
+# The product's default truncation, also table2's --prime-bound default.
+DEFAULT_PRIME_BOUND = 10**7
 
 
 @dataclass(frozen=True)
@@ -151,7 +153,6 @@ def candidate_constants(r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return candidates, tuple(c for c in candidates if hardy_littlewood_admissible(36, 3 * (r + 3), c))
 
 
-@lru_cache(maxsize=None)
 def derive_k_threshold(r: int, c: int) -> int:
     """Smallest k with f(k) >= 67 and an interpolated gap at or below 0.
 
@@ -213,7 +214,7 @@ def is_exceptional_arithmetic(p: int) -> ExceptionalVerdict:
     r, c, k = window_coordinates(p)
     l0 = 24 * k + r
     _, allowed = candidate_constants(r)
-    exceptional = c in allowed and k >= derive_k_threshold(r, c)
+    exceptional = c in allowed and k >= family(r, c).k_threshold
     witness = {"r": r, "c": c, "k": k}
     return ExceptionalVerdict(p, l0, "arithmetic", exceptional, witness)
 
@@ -391,7 +392,7 @@ def check_prime_bound(prime_bound: int) -> None:
         raise ValueError(f"prime_bound must be <= {PRIME_BOUND_LIMIT}, got {prime_bound}")
 
 
-def hardy_littlewood_constant(r: int, c: int, prime_bound: int = 10**7) -> float:
+def hardy_littlewood_constant(r: int, c: int, prime_bound: int = DEFAULT_PRIME_BOUND) -> float:
     """Truncated Euler product over primes 5 <= p <= prime_bound.
 
     The factors depend only on (d/p), d = (r+3)^2 - 16c, so d and 4d agree up
@@ -414,7 +415,7 @@ def density_divisor(r: int) -> int:
     return 4 if r % 2 == 0 else 2
 
 
-def hardy_littlewood_density(r: int, c: int, prime_bound: int = 10**7) -> float:
+def hardy_littlewood_density(r: int, c: int, prime_bound: int = DEFAULT_PRIME_BOUND) -> float:
     """Predicted constant in front of sqrt(x)/log(x) for the family's primes."""
     return hardy_littlewood_constant(r, c, prime_bound) / density_divisor(r)
 

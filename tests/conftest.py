@@ -1,8 +1,8 @@
-import csv
 import pathlib
 
 import pytest
 
+from rqgraph import cli
 from rqgraph.group import GroupElement, inverse
 from rqgraph.subsets import CayleySubset
 
@@ -39,15 +39,6 @@ def inverse_orbits(m):
 
 @pytest.fixture(scope="session")
 def table2_fixture():
-    rows = {}
-    with open(DATA_DIR / "table2.csv", newline="") as fh:
-        for row in csv.DictReader(fh):
-            key = (int(row["r"]), int(row["c"]))
-            rows[key] = {
-                "k_threshold": int(row["k_threshold"]),
-                "first_primes": tuple(int(row[f"p{i}"]) for i in range(1, 6)),
-                "count": int(row["count"]),
-                "density": float(row["density"]),
-            }
+    rows = cli.load_fixture(str(DATA_DIR / "table2.csv"))
     assert len(rows) == 54
     return rows

@@ -106,10 +106,14 @@ def test_spectrum_stdout_is_pinned(capsys, argv, sha256):
 
 
 def test_cli_bad_input_is_a_clean_error(capsys):
+    errors = []
     for argv in (
         ["spectrum", "--subset", "m=3;pairs=9;delta=0;ypairs=0"],
         ["spectrum", "--subset", "m=3;pairs=1,2;delta=0;ypairs=0,1,2;colour=red"],  # unknown field
         ["spectrum", "--subset", "m=1048577;pairs=1;delta=0;ypairs=0"],     # above group.MAX_M
+        ["spectrum", "--subset", "m=3;pairs"],                              # malformed field
+        ["spectrum", "--subset", "m=3;m=3;pairs=1;delta=0;ypairs=0"],       # duplicate field
+        ["spectrum", "--subset", "m=2;pairs=;delta=0;ypairs="],             # no non-trivial eigenvalue
         ["exceptional", "--p", str(2**64 + 13)],        # prime, but above the proven Miller-Rabin range
         ["table2", "--rows", "9,7", "--xmax", "-10"],
         ["table2", "--rows", "9,7", "--xmax", str(10**14 + 1)],    # above the sieve's limit
@@ -122,7 +126,8 @@ def test_cli_bad_input_is_a_clean_error(capsys):
         captured = capsys.readouterr()
         assert code == 2, argv
         assert captured.out == ""
-        assert "error" in json.loads(captured.err), argv
+        errors.append(json.loads(captured.err)["error"])
+    assert "all eigenvalues have magnitude |S|; no non-trivial eigenvalue" in errors
 
 
 def test_table2_rejects_bad_input_before_scanning(capsys, monkeypatch, tmp_path):
@@ -153,6 +158,18 @@ def test_spectrum_oracle_disagreement_fails(capsys, monkeypatch):
     res = json.loads(out)["results"]
     assert res["oracle_agrees"] is False
     assert res["failures"] == [{"check": "oracle_agreement", "max_delta": 1.0}]
+
+
+def test_spectrum_csv_oracle_disagreement_fails_on_stderr(capsys, monkeypatch):
+    argv = ["spectrum", "--subset", "m=3;pairs=1,2;delta=0;ypairs=0,1,2", "--csv"]
+    code, table = run(capsys, argv)
+    assert code == 0
+    monkeypatch.setattr(dense, "oracle_max_delta", lambda subset: 1.0)
+    code = main([*argv, "--oracle"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == table
+    assert captured.err == '{"failures": [{"check": "oracle_agreement", "max_delta": 1.0}]}\n'
 
 
 def test_exceptional_route_disagreement_fails(capsys, monkeypatch):
@@ -276,6 +293,56 @@ def test_table2_fixture_diff_discrepant_row(capsys):
     fails = payload["results"]["failures"]
     assert fails and fails[0]["check"] == "fixture_diff"
     assert "k_threshold" in fails[0]["diffs"]
+
+
+def test_table2_csv_failures_are_one_json_line_on_stderr(capsys):
+    argv = ["table2", "--rows", "0,-5", "--xmax", str(10**12), "--prime-bound", "1000000", "--fixture", FIXTURE]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    lines = captured.out.splitlines()
+    assert lines[0] == "r,c,k_threshold,p1,p2,p3,p4,p5,count,density"
+    assert len(lines) == 2 and lines[1].startswith("0,-5,")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    stderr = json.loads(captured.err)
+    _, out = run(capsys, [*argv, "--json"])
+    assert stderr == {"failures": json.loads(out)["results"]["failures"]}
+    assert stderr["failures"][0]["check"] == "fixture_diff"
+
+
+def test_table2_fixture_density_diff(capsys, tmp_path):
+    """Densities compare within 0.01; the other fields of (9, 7) still match."""
+    fixture = tmp_path / "table2.csv"
+    lines = (DATA_DIR / "table2.csv").read_text().splitlines(keepends=True)
+    fixture.write_text("".join(
+        line.replace(",0.61666", ",0.63666") if line.startswith("9,7,") else line for line in lines
+    ))
+    code, out = run(
+        capsys,
+        ["table2", "--rows", "9,7", "--xmax", str(10**12),
+         "--prime-bound", "1000000", "--fixture", str(fixture), "--json"],
+    )
+    assert code == 1
+    payload = json.loads(out)
+    density = payload["results"]["rows"][0]["density"]
+    assert payload["results"]["failures"] == [{
+        "check": "fixture_diff", "r": 9, "c": 7,
+        "diffs": {"density": {"computed": density, "fixture": 0.63666}},
+    }]
+
+
+def test_table2_window_mismatch_fails(capsys, monkeypatch):
+    scan = primes.scan_families
+
+    def mismatched(x_max, rows=None):
+        return [dataclasses.replace(rep, window_mismatches=1) for rep in scan(x_max, rows=rows)]
+
+    monkeypatch.setattr(primes, "scan_families", mismatched)
+    code, out = run(capsys, ["table2", "--rows", "9,7", "--xmax", "20000", "--prime-bound", "100000", "--json"])
+    assert code == 1
+    assert json.loads(out)["results"]["failures"] == [
+        {"check": "window_membership", "r": 9, "c": 7, "mismatches": 1}
+    ]
 
 
 def test_float_formatting_is_15_significant_digits(capsys):

@@ -110,6 +110,8 @@ def test_eigensolver_rejects_asymmetric():
         symmetric_eigenvalues(near)
     with pytest.raises(ValueError):
         symmetric_eigenvalues_batch(np.stack([np.eye(2), near]))
+    with pytest.raises(ValueError, match="expected a \\(batch, n, n\\) stack"):
+        symmetric_eigenvalues_batch(np.zeros((2, 2)))
 
 
 def test_eigensolver_permutation_invariance():

@@ -43,6 +43,9 @@ def test_is_prime_examples():
     assert is_prime(999999999989)
     assert not is_prime(10**12 + 1)
     assert is_prime(2**64 - 59)                      # the largest prime below 2^64
+    # primes dividing a witness (9780504 = 24 * 407521, 1795265022 = 6 * 299210837):
+    # the witness is 0 mod n, proves nothing and must be skipped
+    assert is_prime(407521) and is_prime(299210837)
     for n in (2**64, 2**64 + 13, 2**65):            # 2^64 + 13 is prime
         with pytest.raises(ValueError, match="2\\^64"):
             is_prime(n)
@@ -193,23 +196,22 @@ def _fake_gap(values):
 
 
 def test_threshold_premise_checks_still_raise(monkeypatch):
-    derive = derive_k_threshold.__wrapped__
     # (6, 4): f(1) = 67, so the condition holds from k = 1 until the gap turns
     monkeypatch.setattr(primes, "_gap", _fake_gap({5: 0.5, 9: 0.5}))
     broke = r"^threshold condition for \(r=6, c=4\) broke at k={} after first holding at k={}$"
     with pytest.raises(ArithmeticError, match=broke.format(5, 1)):
-        derive(6, 4)
+        derive_k_threshold(6, 4)
     last = THRESHOLD_SCAN_HORIZON
     monkeypatch.setattr(primes, "_gap", _fake_gap({1: 0.5, 2: 0.5, last: 0.5}))
     with pytest.raises(ArithmeticError, match=broke.format(last, 3)):
-        derive(6, 4)
+        derive_k_threshold(6, 4)
     monkeypatch.setattr(primes, "_gap", lambda xp, t, l: np.ones(len(l)))
     with pytest.raises(ArithmeticError, match=r"^no threshold found for \(r=6, c=4\) within the horizon$"):
-        derive(6, 4)
+        derive_k_threshold(6, 4)
     # f(k) >= 67 still gates the threshold: (0, -5) has f(1) = 40
     monkeypatch.setattr(primes, "_gap", _fake_gap({}))
-    assert derive(0, -5) == 2
-    assert derive(6, 4) == 1
+    assert derive_k_threshold(0, -5) == 2
+    assert derive_k_threshold(6, 4) == 1
 
 
 def test_threshold_near_zero_gap_is_decided_in_mpmath(monkeypatch):
@@ -224,18 +226,18 @@ def test_threshold_near_zero_gap_is_decided_in_mpmath(monkeypatch):
         return mpmath.mpf(-1) if k == 3 else mpmath.mpf(1)
 
     monkeypatch.setattr(primes, "_gap_mp", mp_gap)
-    assert derive_k_threshold.__wrapped__(6, 4) == 3
+    assert derive_k_threshold(6, 4) == 3
     assert escalated == [3]
     fake = _fake_gap({1: 1.0, 2: 1.0, 4: -1e-12})
     monkeypatch.setattr(primes, "_gap", fake)
     with pytest.raises(ArithmeticError, match="broke at k=4 after first holding at k=3"):
-        derive_k_threshold.__wrapped__(6, 4)
+        derive_k_threshold(6, 4)
     assert escalated == [3, 4]
     # decided on the mpf: just above TIE_TOL is above, though its double is not
     fake = _fake_gap({1: 1.0, 2: 1.0, 3: 1.0, 4: 1e-12})
     monkeypatch.setattr(primes, "_gap", fake)
     monkeypatch.setattr(primes, "_gap_mp", lambda r, c, k: mpmath.mpf(TIE_TOL) + mpmath.mpf("1e-55"))
-    assert derive_k_threshold.__wrapped__(6, 4) == 5
+    assert derive_k_threshold(6, 4) == 5
 
 
 def test_window_coordinates_roundtrip():
@@ -292,6 +294,8 @@ def test_family_primes_window_filter():
             family_primes(0, -5, x_max)
     assert family_primes(0, -5, 0).count == 0
     assert family_primes(0, -5, 10**6, k_min=10**30).count == 0
+    with pytest.raises(ValueError, match="k_min must be >= 0, got -1"):
+        family_primes(9, 7, 1000, k_min=-1)
 
 
 def _family_primes_by_loop(r, c, x_max, k_min):
@@ -439,4 +443,5 @@ def test_hardy_littlewood_admissible():
     assert not hardy_littlewood_admissible(4, 2, 2)       # common factor 2
     assert not hardy_littlewood_admissible(1, 0, -1)      # square discriminant
     assert not hardy_littlewood_admissible(-1, 0, 1)      # negative leading term
-    assert not hardy_littlewood_admissible(2, 2, 4)       # all values even
+    assert not hardy_littlewood_admissible(2, 2, 4)       # common factor 2
+    assert not hardy_littlewood_admissible(1, 1, 2)       # coprime, but x^2 + x + 2 is always even

@@ -107,6 +107,8 @@ def test_enumerate_family_examples():
     ones = list(enumerate_family(3, 1, "s"))
     assert ones == [full_subset(3)]
     assert list(enumerate_family(3, 2, "sprime")) == []
+    with pytest.raises(ValueError, match="covalency must satisfy"):
+        list(enumerate_family(3, 0))    # a generator: it raises only when iterated
     threes = list(enumerate_family(3, 3, "sprime"))
     assert len(threes) == 3
     for s in threes:
