@@ -15,7 +15,6 @@ from functools import lru_cache
 from itertools import combinations, islice
 from typing import NamedTuple, Optional
 
-import mpmath
 import numpy as np
 
 from . import spectra
@@ -124,6 +123,8 @@ def split_worst(m: int, l1: int, l2: int) -> Optional[SplitWorst]:
     window = spectra.tie_window(scale)
 
     def exact_margin():
+        import mpmath
+
         # The member at the exact peak has double |z_j| and |w_j| within twice
         # their error of its class maxima, far inside the window; so every set
         # within the window of its class maximum, at every j whose double peak
@@ -242,15 +243,14 @@ def maximizing_split(l: int | np.ndarray) -> SplitProfile:
 
 def _check_scope(p: int, route: str) -> None:
     """ValueError unless p is an odd prime >= MIN_EXCEPTIONAL_PRIME, the scope of both routes."""
-    from .primes import is_prime
+    from .primes import check_odd_prime
 
     if p < MIN_EXCEPTIONAL_PRIME:
         raise ValueError(
             f"{route} classification is out of theorem scope for p={p} "
             f"(requires p >= {MIN_EXCEPTIONAL_PRIME})"
         )
-    if p % 2 == 0 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    check_odd_prime(p)
 
 
 def is_exceptional_spectral(p: int) -> ExceptionalVerdict:
@@ -265,7 +265,7 @@ def is_exceptional_spectral(p: int) -> ExceptionalVerdict:
     split = maximizing_split(l)
     lam = extremal_mu2(p, *split)
     bound = ramanujan_bound_at(p, l)
-    exceptional = spectra.at_or_below(lam - bound, gap_error_scale(p), lambda: _gap(mpmath, p, l))
+    exceptional = spectra.at_or_below(lam - bound, gap_error_scale(p), lambda: _gap_at_mp(p, l))
     witness = {
         "l1": split.l1,
         "l2": split.l2,
@@ -302,7 +302,14 @@ def _gap_arguments(r, c, k):
 
 def _gap_mp(r: int, c: int, k: int):
     """The interpolated gap at a scalar k as an mpf, at mpmath's working precision."""
-    return _gap(mpmath, *(int(v) for v in _gap_arguments(r, c, k)))
+    return _gap_at_mp(*(int(v) for v in _gap_arguments(r, c, k)))
+
+
+def _gap_at_mp(n: int, l: int):
+    """`_gap` at (n, l) as an mpf, at mpmath's working precision."""
+    import mpmath
+
+    return _gap(mpmath, n, l)
 
 
 def asymptotic_coefficient(r: int, c: int) -> float:

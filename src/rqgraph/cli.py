@@ -120,6 +120,7 @@ def cmd_exceptional(args) -> int:
     p = args.p
     results: dict = {"p": p}
     failures = []
+    primes.check_odd_prime(p)
     if p < primes.MIN_EXCEPTIONAL_PRIME:
         results["status"] = "out of theorem scope"
         results["reason"] = f"classification established only for primes >= {primes.MIN_EXCEPTIONAL_PRIME}"

@@ -23,9 +23,18 @@ from .bounds import MIN_EXCEPTIONAL_PRIME, ExceptionalVerdict, _check_scope, _ga
 from .bounds import gap_error_scale, trivial_bound
 from .spectra import at_or_below, tie_window
 
-# Strong-pseudoprime witnesses proving primality for every n < _MR_LIMIT = 2^64.
-_MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
-_MR_LIMIT = 1 << 64
+# (limit, witnesses): strong-pseudoprime witnesses proving primality for every
+# odd n below the limit, by the size of n (Pomerance, Selfridge and Wagstaff
+# 1980; Jaeschke, Math. Comp. 61, 1993; Sinclair's seven bases up to 2^64).
+# Each limit is itself a strong pseudoprime to its row's witnesses, and every
+# witness is below the smallest n that reaches its row (n >= 3844 there).
+_MR_ROWS = (
+    (1_373_653, (2, 3)),
+    (4_759_123_141, (2, 7, 61)),
+    (1_122_004_669_633, (2, 13, 23, 1662803)),
+    (1 << 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
+)
+_MR_LIMIT = _MR_ROWS[-1][0]
 
 # The odd primes up to 61; a single gcd with their product screens most composites.
 _SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
@@ -80,9 +89,7 @@ def is_prime(n: int) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_WITNESSES:
-        if a % n == 0:
-            continue
+    for a in next(witnesses for limit, witnesses in _MR_ROWS if n < limit):
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -93,6 +100,12 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def check_odd_prime(p: int) -> None:
+    """ValueError unless p is an odd prime."""
+    if p % 2 == 0 or not is_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
 
 
 def _jacobi(a: int, n: int) -> int:

@@ -15,7 +15,6 @@ from functools import lru_cache
 from types import SimpleNamespace
 from typing import NamedTuple
 
-import mpmath
 import numpy as np
 
 from .subsets import CayleySubset
@@ -263,9 +262,11 @@ def at_or_below(margin: float, scale: float, exact_margin) -> bool:
 
     EPS * scale bounds the forward error of the double `margin`.  Outside
     tie_window(scale) the double decides; inside, `exact_margin()` at _MP_DPS
-    digits decides by its own mpf value, a margin up to TIE_TOL being a tie:
-    exact ties occur (lambda = 10 = 2 sqrt(25) at m = 9, mpf margin +2e-50),
-    and a bare `<= 0` would put them above.  The callers' scales:
+    digits decides by its own mpf value, a margin up to TIE_TOL being a tie.
+    mpmath is imported there, at the first near tie, so a process that meets
+    none never loads it.  Exact ties occur (lambda = 10 = 2 sqrt(25) at
+    m = 9, mpf margin +2e-50), and a bare `<= 0` would put them above.  The
+    callers' scales:
       * character sums (`sums_error_scale`): |S| (2 pi m + 4).  Angles
         pi j k / m < pi m take <= 4 roundings, so each of the <= |S| / 2 terms
         of z_j +- |w_j| is off by 4 pi m EPS + 1 ulp; the rest adds ulps of |S|;
@@ -276,6 +277,8 @@ def at_or_below(margin: float, scale: float, exact_margin) -> bool:
     """
     if abs(margin) >= tie_window(scale):
         return margin <= 0
+    import mpmath
+
     with mpmath.workdps(_MP_DPS):
         return bool(exact_margin() <= TIE_TOL)
 
@@ -287,6 +290,8 @@ def sums_error_scale(subset: CayleySubset) -> float:
 
 def _margin_mp(subset: CayleySubset):
     """lambda(S) minus the Ramanujan bound, at mpmath's working precision."""
+    import mpmath
+
     return _interior_max(_values(mpmath, subset), subset.size) - 2 * mpmath.sqrt(subset.size - 1)
 
 

@@ -1,11 +1,16 @@
 import dataclasses
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 
+import rqgraph
 from rqgraph import bounds, dense, primes, spectra, subsets
 from rqgraph.cli import main
 from rqgraph.subsets import full_subset
@@ -79,6 +84,30 @@ def test_spectrum_evaluates_each_block_once(capsys, monkeypatch):
         assert sorted(j for _, js in calls for j in js) == list(range(1, m))
 
 
+def test_cli_imports_mpmath_only_at_a_near_tie():
+    """A fresh interpreter runs three commands that meet no near tie without
+    importing mpmath; the m = 9 exact tie imports it and is still Ramanujan."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(rqgraph.__file__).parents[1])}
+    code = """if True:
+        import contextlib, io, json, sys
+        import rqgraph.cli
+
+        def run(*argv):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert rqgraph.cli.main(list(argv)) == 0, argv
+            return out.getvalue()
+
+        run("exceptional", "--p", "557")
+        run("table2", "--rows", "9,7", "--xmax", "1000000")
+        run("spectrum", "--oracle", "--subset", "m=3;pairs=1,2;delta=0;ypairs=0,1,2")
+        print("mpmath" in sys.modules)
+        out = run("spectrum", "--subset", "m=9;pairs=1,2,4,5,7,8;delta=0;ypairs=0,1,2,3,5,6,8")
+        print("mpmath" in sys.modules, json.loads(out)["results"]["ramanujan"])
+    """
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split("\n") == ["False", "True True", ""]
+
+
 def _extremal(p):
     """The l0 + 1 extremal subset at the prime p, as a literal."""
     split = bounds.maximizing_split(bounds.trivial_bound(p) + 1)
@@ -115,6 +144,7 @@ def test_cli_bad_input_is_a_clean_error(capsys):
         ["spectrum", "--subset", "m=3;m=3;pairs=1;delta=0;ypairs=0"],       # duplicate field
         ["spectrum", "--subset", "m=2;pairs=;delta=0;ypairs="],             # no non-trivial eigenvalue
         ["exceptional", "--p", str(2**64 + 13)],        # prime, but above the proven Miller-Rabin range
+        *(["exceptional", "--p", p] for p in ("4", "-7", "63", "2")),   # not an odd prime, below 67
         ["table2", "--rows", "9,7", "--xmax", "-10"],
         ["table2", "--rows", "9,7", "--xmax", str(10**14 + 1)],    # above the sieve's limit
         ["table2", "--rows", "9"],
@@ -128,6 +158,7 @@ def test_cli_bad_input_is_a_clean_error(capsys):
         assert captured.out == ""
         errors.append(json.loads(captured.err)["error"])
     assert "all eigenvalues have magnitude |S|; no non-trivial eigenvalue" in errors
+    assert "p must be an odd prime, got -7" in errors
 
 
 def test_table2_rejects_bad_input_before_scanning(capsys, monkeypatch, tmp_path):

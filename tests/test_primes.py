@@ -43,12 +43,33 @@ def test_is_prime_examples():
     assert is_prime(999999999989)
     assert not is_prime(10**12 + 1)
     assert is_prime(2**64 - 59)                      # the largest prime below 2^64
-    # primes dividing a witness (9780504 = 24 * 407521, 1795265022 = 6 * 299210837):
-    # the witness is 0 mod n, proves nothing and must be skipped
+    # primes dividing one of the seven 2^64 witnesses (9780504 = 24 * 407521,
+    # 1795265022 = 6 * 299210837): below 1,122,004,669,633 they take a smaller
+    # row, whose witnesses are all below n, so no witness is 0 mod n
     assert is_prime(407521) and is_prime(299210837)
     for n in (2**64, 2**64 + 13, 2**65):            # 2^64 + 13 is prime
         with pytest.raises(ValueError, match="2\\^64"):
             is_prime(n)
+
+
+def test_is_prime_matches_a_sieve_past_the_gcd_screen():
+    """Every odd n in [3844, 2e5], where Miller-Rabin decides, against a numpy sieve."""
+    top = 200_000
+    sieve = np.ones(top + 1, dtype=bool)
+    sieve[:2] = False
+    for q in range(2, math.isqrt(top) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = False
+    for n in range(3845, top + 1, 2):
+        assert is_prime(n) == sieve[n], n
+
+
+def test_is_prime_rejects_each_witness_row_limit():
+    """Each witness row's limit is composite and a strong pseudoprime to that
+    row's witnesses, so only the next row's witnesses reject it."""
+    for limit in (1_373_653, 4_759_123_141, 1_122_004_669_633):
+        assert all(limit % q for q in SMALL_PRIMES if q <= 61)   # past the gcd screen
+        assert not is_prime(limit), limit
 
 
 def test_is_prime_against_sympy():
