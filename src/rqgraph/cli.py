@@ -249,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     ex.set_defaults(func=cmd_exceptional)
 
     t2 = sub.add_parser("table2", help="regenerate the 54-family table (CSV by default)")
-    t2.add_argument("--xmax", type=int, default=10**12)
-    t2.add_argument("--prime-bound", type=int, default=primes.DEFAULT_PRIME_BOUND)
+    t2.add_argument("--xmax", type=int, default=10**12, help="scan family values up to x_max, 0 <= x_max <= 10^14 (default 10^12)")
+    t2.add_argument("--prime-bound", type=int, default=primes.DEFAULT_PRIME_BOUND, help="Hardy-Littlewood products over the primes up to this bound, 10^3 <= bound <= 10^8 (default 10^7)")
     t2.add_argument("--rows", default="all", help='"all" or "r,c" for a single family')
     t2.add_argument("--fixture", default=None, help="fixture CSV to diff against")
     t2.add_argument("--json", action="store_true", help="JSON envelope instead of CSV")

@@ -43,12 +43,13 @@ _SMALL_PRIME_PRODUCT = math.prod(_SMALL_PRIMES)
 THRESHOLD_SCAN_HORIZON = 10_000
 
 # Bounds the family sieve's memory: it holds about sqrt(x_max) / 6 values per
-# family (300 MB peak at 10^14).  Its sieving primes q <= sqrt(x_max) stay
-# below 2^24, so products of two residues mod q fit in int64 with room to spare.
+# family (all 54 families peak at 281 MB resident at 10^14).  Its sieving
+# primes q <= sqrt(x_max) stay below 2^24, so products of two residues mod q
+# fit in int64 with room to spare.
 X_MAX_LIMIT = 10**14
 
 # Bounds the Hardy-Littlewood product's memory, which grows linearly with the
-# bound: a one-row table2 peaks at 174 MB resident (ru_maxrss) at 10^8.
+# bound: a one-row table2 peaks at 132 MB resident (ru_maxrss) at 10^8.
 PRIME_BOUND_LIMIT = 10**8
 # The product's default truncation, also table2's --prime-bound default.
 DEFAULT_PRIME_BOUND = 10**7
@@ -266,12 +267,15 @@ def _check_x_max(x_max: int) -> None:
 
 @lru_cache(maxsize=4)
 def _odd_primes_from_5(bound: int):
-    sieve = np.ones(bound + 1, dtype=bool)
-    sieve[:2] = False
-    for i in range(2, math.isqrt(bound) + 1):
+    """The primes 5 <= p <= bound, ascending, from a sieve of the odd numbers (entry i is 2i + 1)."""
+    sieve = np.ones((bound + 1) // 2, dtype=bool)
+    for i in range(1, (math.isqrt(bound) + 1) // 2):
         if sieve[i]:
-            sieve[i * i :: i] = False
-    return np.flatnonzero(sieve)[2:]
+            sieve[2 * i * (i + 1) :: 2 * i + 1] = False      # from (2i + 1)^2, odd multiples only
+    primes = np.flatnonzero(sieve[2:])          # entry j + 2 is 2j + 5
+    primes *= 2
+    primes += 5
+    return primes
 
 
 def _powmod(base, exp, q):
@@ -377,6 +381,16 @@ def _sieve_family(fam: PrimeFamily, k_min: int, x_max: int):
 # -- Hardy-Littlewood constants ------------------------------------------------
 
 
+_HL_CHUNK = 1 << 15     # primes per numpy pass of the product; bounds its temporaries
+
+
+@lru_cache(maxsize=4)
+def _reciprocals(prime_bound: int):
+    """fl(1/(p-1)) over the primes 5 <= p <= prime_bound, for every discriminant."""
+    recip = _odd_primes_from_5(prime_bound) - 1.0
+    return np.divide(1.0, recip, out=recip)
+
+
 @lru_cache(maxsize=None)
 def _hl_product(reduced_discriminant: int, prime_bound: int) -> float:
     """Product of (1 - chi(p)/(p-1)) over primes 5 <= p <= prime_bound.
@@ -384,18 +398,27 @@ def _hl_product(reduced_discriminant: int, prime_bound: int) -> float:
     chi(p) = (reduced_discriminant / p) is periodic in p with period
     4|discriminant| (the discriminant is 0 or 1 mod 4 here), so one table of
     Jacobi symbols over a period gives chi(p) for every p, including the
-    primes that divide the discriminant.
+    primes that divide the discriminant.  chi * fl(1/(p-1)) == fl(chi/(p-1)),
+    as chi is -1, 0 or 1.  table2's golden output pins the rounding order:
+    math.prod over p <= 2|d|, times a left-to-right product of the rest, taken
+    a chunk per pass with the running value as `initial` (numpy's float
+    multiply reduction is sequential, so this equals one np.prod).
     """
     d = reduced_discriminant
-    primes = _odd_primes_from_5(prime_bound)
+    primes, recip = _odd_primes_from_5(prime_bound), _reciprocals(prime_bound)
     period = 4 * abs(d)
-    table = np.array(
-        [_jacobi(d, u) if u % 2 else 0 for u in range(period)], dtype=np.float64
-    )
-    factors = 1.0 - table[primes % period] / (primes - 1.0)
+    table = np.array([_jacobi(d, u) if u % 2 else 0 for u in range(period)], dtype=np.float64)
+
+    def factors(lo, hi):
+        f = table[primes[lo:hi] % period]
+        f *= recip[lo:hi]
+        return np.subtract(1.0, f, out=f)
+
     n_small = int(np.searchsorted(primes, 2 * abs(d), side="right"))
-    # table2's printed densities, pinned by its golden output, depend on this rounding order
-    return math.prod(factors[:n_small].tolist()) * float(np.prod(factors[n_small:]))
+    tail = 1.0
+    for lo in range(n_small, primes.size, _HL_CHUNK):
+        tail = float(np.multiply.reduce(factors(lo, lo + _HL_CHUNK), initial=tail))
+    return math.prod(factors(0, n_small).tolist()) * tail
 
 
 def check_prime_bound(prime_bound: int) -> None:

@@ -182,6 +182,15 @@ def test_table2_rejects_bad_input_before_scanning(capsys, monkeypatch, tmp_path)
         assert json.loads(captured.err) == {"command": "table2", "error": error}
 
 
+def test_table2_help_states_the_ranges(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["table2", "--help"])
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "0 <= x_max <= 10^14" in text
+    assert "10^3 <= bound <= 10^8" in text
+
+
 def test_spectrum_oracle_disagreement_fails(capsys, monkeypatch):
     monkeypatch.setattr(dense, "oracle_max_delta", lambda subset: 1.0)
     code, out = run(capsys, ["spectrum", "--subset", "m=3;pairs=1,2;delta=0;ypairs=0,1,2", "--oracle"])

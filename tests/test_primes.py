@@ -412,6 +412,58 @@ def test_hl_constant_rounding_is_pinned():
         assert hardy_littlewood_constant(r, c, 10**5) == float.fromhex(value), (r, c)
 
 
+# Every reduced discriminant's product at prime_bound 10^6 (78,496 primes, so
+# the tail crosses chunk boundaries), as the one-pass np.prod tail gave it.
+HL_PINS_1E6 = {
+    17: "0x1.92dd8c05d5155p+0",
+    20: "0x1.2e9f52d29097ap+0",
+    32: "0x1.3bb63a9d5880bp+0",
+    33: "0x1.9a6f5992fb95dp+0",
+    41: "0x1.1fffc242eb8eap+0",
+    48: "0x1.6220e36295bd2p+0",
+    52: "0x1.9d3e615eb39b6p+0",
+    57: "0x1.5d4636ecf6446p+0",
+    65: "0x1.1366d09088bafp+0",
+    73: "0x1.cda0ec79fad1fp+0",
+    80: "0x1.2e9f52d29093bp+0",
+    84: "0x1.db0671d3e3871p-1",
+    89: "0x1.f5d1a119e66afp-1",
+}
+
+
+def test_hl_constant_rounding_is_pinned_across_chunks():
+    assert primes._odd_primes_from_5(10**6).size > 2 * primes._HL_CHUNK
+    assert sorted(HL_PINS_1E6) == sorted({fam.reduced_discriminant for fam in all_families()})
+    for fam in all_families():
+        want = float.fromhex(HL_PINS_1E6[fam.reduced_discriminant])
+        assert hardy_littlewood_constant(fam.r, fam.c, 10**6) == want, (fam.r, fam.c)
+
+
+def test_hl_constant_matches_plain_python_product_bit_for_bit():
+    """math.prod over p <= 2|d| times math.prod over the rest, without numpy."""
+    bound = 10**6
+    sieve = bytearray([1]) * (bound + 1)
+    for q in range(2, math.isqrt(bound) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = bytes(len(range(q * q, bound + 1, q)))
+    plain = [p for p in range(5, bound + 1) if sieve[p]]
+    for (r, c) in ((0, -5), (3, 1)):                      # d = 89 and 20
+        d = (r + 3) ** 2 - 16 * c
+        factors = [1.0 - legendre_symbol(d, p) / (p - 1) for p in plain]
+        n_small = sum(p <= 2 * abs(d) for p in plain)
+        direct = math.prod(factors[:n_small]) * math.prod(factors[n_small:])
+        assert hardy_littlewood_constant(r, c, bound) == direct, (r, c)
+        assert direct == float.fromhex(HL_PINS_1E6[d])
+
+
+def test_odd_prime_sieve_matches_miller_rabin():
+    bounds = list(range(401)) + [q * q + e for q in (5, 7, 11, 31) for e in (-1, 0, 1)]
+    for b in bounds + [10**4 + 7]:
+        got = primes._odd_primes_from_5(b)
+        assert got.dtype == np.int64, b
+        assert got.tolist() == [p for p in range(5, b + 1) if is_prime(p)], b
+
+
 def test_hl_constant_against_direct_product():
     """Character-table product == naive per-prime Legendre product."""
     bound = 20000
