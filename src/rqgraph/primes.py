@@ -48,11 +48,12 @@ THRESHOLD_SCAN_HORIZON = 10_000
 # fit in int64 with room to spare.
 X_MAX_LIMIT = 10**14
 
-# Bounds the Hardy-Littlewood product's memory, which grows linearly with the
-# bound: a one-row table2 peaks at 132 MB resident (ru_maxrss) at 10^8.
+# Bounds the Hardy-Littlewood pass's time, which grows linearly with the
+# bound: a one-row table2 takes about 1.1 s at 10^8 (2 vCPUs).
 PRIME_BOUND_LIMIT = 10**8
 # The product's default truncation, also table2's --prime-bound default.
 DEFAULT_PRIME_BOUND = 10**7
+_SIEVE_SEGMENT = 1 << 18     # odd numbers per segment of the prime sieve
 
 
 @dataclass(frozen=True)
@@ -265,17 +266,29 @@ def _check_x_max(x_max: int) -> None:
 # -- the family sieve -----------------------------------------------------------
 
 
-@lru_cache(maxsize=4)
+def _odd_prime_segments(bound: int):
+    """The primes 5 <= p <= bound, ascending, one int64 array per segment of odd numbers.
+
+    Entry i stands for 2i + 1.  A segment is struck by the odd primes q <=
+    sqrt(bound) of earlier segments, then by its own from q^2 on.
+    """
+    n_odd, root, base = (bound + 1) // 2, math.isqrt(bound), []      # base: the odd primes <= root so far
+    for lo in range(0, n_odd, _SIEVE_SEGMENT):
+        seg = np.ones(min(_SIEVE_SEGMENT, n_odd - lo), dtype=bool)
+        for q in base:
+            seg[((q - 1) // 2 - lo) % q :: q] = False       # entry (q - 1) / 2 + t q is q (2t + 1)
+        for i in range(max(lo, 1), min(lo + seg.size, (root + 1) // 2)):
+            if seg[i - lo]:
+                seg[2 * i * (i + 1) - lo :: 2 * i + 1] = False      # from (2i + 1)^2
+                base.append(2 * i + 1)
+        if lo == 0:
+            seg[:2] = False         # 1 and 3
+        yield 2 * (np.flatnonzero(seg) + lo) + 1
+
+
 def _odd_primes_from_5(bound: int):
-    """The primes 5 <= p <= bound, ascending, from a sieve of the odd numbers (entry i is 2i + 1)."""
-    sieve = np.ones((bound + 1) // 2, dtype=bool)
-    for i in range(1, (math.isqrt(bound) + 1) // 2):
-        if sieve[i]:
-            sieve[2 * i * (i + 1) :: 2 * i + 1] = False      # from (2i + 1)^2, odd multiples only
-    primes = np.flatnonzero(sieve[2:])          # entry j + 2 is 2j + 5
-    primes *= 2
-    primes += 5
-    return primes
+    """The primes 5 <= p <= bound, ascending: the sieve's segments joined."""
+    return np.concatenate([np.empty(0, dtype=np.int64), *_odd_prime_segments(bound)])
 
 
 def _powmod(base, exp, q):
@@ -381,44 +394,28 @@ def _sieve_family(fam: PrimeFamily, k_min: int, x_max: int):
 # -- Hardy-Littlewood constants ------------------------------------------------
 
 
-_HL_CHUNK = 1 << 15     # primes per numpy pass of the product; bounds its temporaries
-
-
-@lru_cache(maxsize=4)
-def _reciprocals(prime_bound: int):
-    """fl(1/(p-1)) over the primes 5 <= p <= prime_bound, for every discriminant."""
-    recip = _odd_primes_from_5(prime_bound) - 1.0
-    return np.divide(1.0, recip, out=recip)
-
-
 @lru_cache(maxsize=None)
-def _hl_product(reduced_discriminant: int, prime_bound: int) -> float:
-    """Product of (1 - chi(p)/(p-1)) over primes 5 <= p <= prime_bound.
+def _hl_products(discriminants: tuple[int, ...], prime_bound: int) -> dict[int, float]:
+    """Product of (1 - chi_d(p)/(p-1)) over primes 5 <= p <= prime_bound, for each d.
 
-    chi(p) = (reduced_discriminant / p) is periodic in p with period
-    4|discriminant| (the discriminant is 0 or 1 mod 4 here), so one table of
-    Jacobi symbols over a period gives chi(p) for every p, including the
-    primes that divide the discriminant.  chi * fl(1/(p-1)) == fl(chi/(p-1)),
-    as chi is -1, 0 or 1.  table2's golden output pins the rounding order:
-    math.prod over p <= 2|d|, times a left-to-right product of the rest, taken
-    a chunk per pass with the running value as `initial` (numpy's float
-    multiply reduction is sequential, so this equals one np.prod).
+    One pass over the sieve's segments advances every product.  chi_d(p) =
+    (d / p) has period 4|d| in p (d is 0 or 1 mod 4), so one table of Jacobi
+    symbols over a period gives it for every p, including those dividing d;
+    chi * fl(1/(p-1)) == fl(chi/(p-1)) as chi is -1, 0 or 1.  table2's golden
+    output pins the rounding order: math.prod over p <= 2|d|, times a
+    left-to-right product of the rest carried across segments as `initial`
+    (numpy's float multiply reduction is sequential: this equals one np.prod).
     """
-    d = reduced_discriminant
-    primes, recip = _odd_primes_from_5(prime_bound), _reciprocals(prime_bound)
-    period = 4 * abs(d)
-    table = np.array([_jacobi(d, u) if u % 2 else 0 for u in range(period)], dtype=np.float64)
-
-    def factors(lo, hi):
-        f = table[primes[lo:hi] % period]
-        f *= recip[lo:hi]
-        return np.subtract(1.0, f, out=f)
-
-    n_small = int(np.searchsorted(primes, 2 * abs(d), side="right"))
-    tail = 1.0
-    for lo in range(n_small, primes.size, _HL_CHUNK):
-        tail = float(np.multiply.reduce(factors(lo, lo + _HL_CHUNK), initial=tail))
-    return math.prod(factors(0, n_small).tolist()) * tail
+    tables = {d: np.array([_jacobi(d, u) if u % 2 else 0 for u in range(4 * abs(d))], float) for d in discriminants}
+    heads, tails = {d: [] for d in discriminants}, dict.fromkeys(discriminants, 1.0)
+    for primes in _odd_prime_segments(prime_bound):
+        recip = 1.0 / (primes - 1.0)
+        for d, table in tables.items():
+            f = 1.0 - table[primes - primes // table.size * table.size] * recip
+            n_small = int(np.searchsorted(primes, 2 * abs(d), side="right"))
+            heads[d] += f[:n_small].tolist()
+            tails[d] = float(np.multiply.reduce(f[n_small:], initial=tails[d]))
+    return {d: math.prod(heads[d]) * tails[d] for d in discriminants}
 
 
 def check_prime_bound(prime_bound: int) -> None:
@@ -434,12 +431,15 @@ def hardy_littlewood_constant(r: int, c: int, prime_bound: int = DEFAULT_PRIME_B
     The factors depend only on (d/p), d = (r+3)^2 - 16c, so d and 4d agree up
     to rounding (the product order depends on d).  Convergence is conditional
     and slow; at the default bound the value is reliable to roughly two digits.
+    One pass over the sieve computes all 13 family discriminants' products per
+    bound; any other non-square d, negative ones included, joins that pass.
     """
     check_prime_bound(prime_bound)
     d = (r + 3) ** 2 - 16 * c
     if _is_square(d):
         raise ValueError(f"degenerate discriminant for (r={r}, c={c}): {d} is a perfect square")
-    return _hl_product(d, prime_bound)
+    family_ds = {(t + 3) ** 2 - 16 * u for t in range(24) for u in candidate_constants(t)[1]}
+    return _hl_products(tuple(sorted(family_ds | {d})), prime_bound)[d]
 
 
 def density_divisor(r: int) -> int:

@@ -1,5 +1,7 @@
+import bisect
 import math
 import random
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -431,12 +433,59 @@ HL_PINS_1E6 = {
 }
 
 
+# The same at the default bound 10^7 (664,579 primes, 20 sieve segments).
+HL_PINS_1E7 = {
+    17: "0x1.92d7aae22bdd7p+0",
+    20: "0x1.2ea3ffc0f5d53p+0",
+    32: "0x1.3bbc38563fdcap+0",
+    33: "0x1.9a7ab373ed75fp+0",
+    41: "0x1.1ffe36cc27b2dp+0",
+    48: "0x1.6225855d1c4a0p+0",
+    52: "0x1.9d4c3361be67bp+0",
+    57: "0x1.5d441dd588ca9p+0",
+    65: "0x1.1369d2f57fed3p+0",
+    73: "0x1.cdaa517156272p+0",
+    80: "0x1.2ea3ffc0f5b73p+0",
+    84: "0x1.db101c4029fc8p-1",
+    89: "0x1.f5c87d15b469dp-1",
+}
+
+
 def test_hl_constant_rounding_is_pinned_across_chunks():
-    assert primes._odd_primes_from_5(10**6).size > 2 * primes._HL_CHUNK
-    assert sorted(HL_PINS_1E6) == sorted({fam.reduced_discriminant for fam in all_families()})
-    for fam in all_families():
-        want = float.fromhex(HL_PINS_1E6[fam.reduced_discriminant])
-        assert hardy_littlewood_constant(fam.r, fam.c, 10**6) == want, (fam.r, fam.c)
+    """The tail is carried across sieve segments without changing a bit."""
+    assert len(list(primes._odd_prime_segments(10**6))) >= 2
+    for pins, bound in ((HL_PINS_1E6, 10**6), (HL_PINS_1E7, 10**7)):
+        assert sorted(pins) == sorted({fam.reduced_discriminant for fam in all_families()})
+        for fam in all_families():
+            want = float.fromhex(pins[fam.reduced_discriminant])
+            assert hardy_littlewood_constant(fam.r, fam.c, bound) == want, (fam.r, fam.c, bound)
+
+
+def test_hl_constant_outside_the_families_is_pinned():
+    """Negative discriminants join the families' pass and keep their values."""
+    expected = {
+        ((0, 1), 10**5): "0x1.50a8c4e58d5efp+0",     # d = -7
+        ((0, 1), 10**6): "0x1.50b6f9aca8165p+0",
+        ((0, 5), 10**5): "0x1.1e1b9f0f85907p+0",     # d = -71
+        ((0, 5), 10**6): "0x1.1e3969b8caecep+0",
+    }
+    for ((r, c), bound), value in expected.items():
+        assert hardy_littlewood_constant(r, c, bound) == float.fromhex(value), (r, c, bound)
+    # a family discriminant is unchanged by an outside one joining its pass
+    assert hardy_littlewood_constant(0, -5, 10**6) == float.fromhex(HL_PINS_1E6[89])
+
+
+def test_hl_pass_memory_is_bounded():
+    """The whole pass at 10^7 holds one sieve segment at a time and keeps only the products."""
+    primes._hl_products.cache_clear()
+    tracemalloc.start()
+    try:
+        hardy_littlewood_constant(9, 7, 10**7)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000, peak
+    assert held < 500_000, held
 
 
 def test_hl_constant_matches_plain_python_product_bit_for_bit():
@@ -456,12 +505,20 @@ def test_hl_constant_matches_plain_python_product_bit_for_bit():
         assert direct == float.fromhex(HL_PINS_1E6[d])
 
 
-def test_odd_prime_sieve_matches_miller_rabin():
-    bounds = list(range(401)) + [q * q + e for q in (5, 7, 11, 31) for e in (-1, 0, 1)]
-    for b in bounds + [10**4 + 7]:
+def test_odd_prime_sieve_matches_miller_rabin(monkeypatch):
+    edges = [2 * k * primes._SIEVE_SEGMENT + e for k in (1, 2) for e in (-1, 0, 1, 2)]
+    assert edges[0] < 1021**2 < edges[4]               # 1021^2 falls in the second segment
+    bounds = list(range(401)) + [q * q + e for q in (5, 7, 11, 31, 1021) for e in (-1, 0, 1)]
+    bounds += [10**4 + 7, 10**6] + edges
+    want = [p for p in range(5, max(bounds) + 1, 2) if is_prime(p)]
+    for b in bounds:
         got = primes._odd_primes_from_5(b)
         assert got.dtype == np.int64, b
-        assert got.tolist() == [p for p in range(5, b + 1) if is_prime(p)], b
+        assert got.tolist() == want[: bisect.bisect_right(want, b)], b
+    # segments of 8 odd numbers: most sieving primes come from earlier segments
+    monkeypatch.setattr(primes, "_SIEVE_SEGMENT", 8)
+    for b in range(401):
+        assert primes._odd_primes_from_5(b).tolist() == want[: bisect.bisect_right(want, b)], b
 
 
 def test_hl_constant_against_direct_product():
