@@ -49,7 +49,7 @@ THRESHOLD_SCAN_HORIZON = 10_000
 X_MAX_LIMIT = 10**14
 
 # Bounds the Hardy-Littlewood pass's time, which grows linearly with the
-# bound: a one-row table2 takes about 1.1 s at 10^8 (2 vCPUs).
+# bound: a one-row table2 takes 1.0-1.1 s at 10^8 (2 vCPUs, python 3.11).
 PRIME_BOUND_LIMIT = 10**8
 # The product's default truncation, also table2's --prime-bound default.
 DEFAULT_PRIME_BOUND = 10**7
