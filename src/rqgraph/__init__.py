@@ -7,7 +7,7 @@ Q_{4m} = <x, y | x^(2m) = 1, x^m = y^2, y^-1 x y = x^-1>:
   dense LAPACK eigensolve of the explicit adjacency matrix;
 * how many group elements can be dropped from the complete-graph generating
   set while every graph in the family stays Ramanujan (the safe-covalency
-  bounds), both by exhaustive enumeration at small m and in closed form;
+  bounds), exactly at small m from per-frequency extremes and in closed form;
 * for odd primes p = m, whether the window-extremal subset (not always the
   worst) of covalency l0 + 1 is Ramanujan ("exceptional" primes), classified
   spectrally and, equivalently, through 54 prime-representing quadratic

@@ -1,37 +1,37 @@
 """Safe-covalency bounds and the spectral exceptional-prime test.
 
 The trivial bound l0 = floor(4 sqrt(m)) - 2 guarantees the Ramanujan property
-for every covalency up to it.  At l0 + 1, primes whose closed-form eigenvalue
-stays under the Ramanujan bound are the "exceptional" ones.  It is that of the
-window-extremal subset at the maximizing split, which need not be the worst
-member of the restricted family (y-coset not full): p = 73 has a worse one.
+for every covalency up to it.  The exact safe covalency decides each split by
+per-frequency extremes: sorted prefix sums and best arcs.  At l0 + 1, primes
+whose closed-form eigenvalue stays under the Ramanujan bound are the
+"exceptional" ones.  It is that of the window-extremal subset at the
+maximizing split, which need not be the worst member of the restricted family
+(y-coset not full): p = 73 has a worse one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, islice
+from functools import lru_cache, partial
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import spectra
-from .group import gcd_class
+from .group import generates_fast
 from .subsets import FAMILY_ALL, CayleySubset, check_split, covalency_splits, split_sizes
 
-EXACT_SCAN_MAX_M = 20
-_SCAN_CHUNK = 1 << 14    # index sets per numpy pass of the exhaustive scan; bounds its memory
+EXACT_SCAN_MAX_M = 20    # the m range pinned against an exhaustive enumeration of index sets
 MIN_EXCEPTIONAL_PRIME = 67     # theorem scope of both classification routes
 _MAX_GAP_K = 1 << 28    # keeps 36 k^2 + 3 (r + 3) k + c inside int64
 
 
 class SplitWorst(NamedTuple):
-    """The worst generating member of one covalency split."""
+    """The worst generating member of one covalency split; above l = 2m, a bound on it."""
 
-    lam: float          # largest lambda_max_nontrivial among the members
-    ramanujan: bool     # every member is Ramanujan
+    lam: float          # largest lambda_max_nontrivial among the members, or more above l = 2m
+    ramanujan: bool     # every member is Ramanujan; above l = 2m, False may be a false alarm
 
 
 class SplitProfile(NamedTuple):
@@ -65,11 +65,14 @@ def ramanujan_bound_at(m: int, l: int) -> float:
 def exact_safe_covalency(m: int, family: str = FAMILY_ALL) -> int:
     """Largest covalency below which every family member is Ramanujan.
 
-    Exhaustive: decides every generating subset at covalencies 1, 2, ...,
-    one split at a time by its worst member (`split_worst`), and stops at
-    the first covalency carrying a non-Ramanujan graph; returns the largest
-    achievable covalency before it.  Empty covalencies are vacuously safe.
-    Capped at m <= EXACT_SCAN_MAX_M, where one family takes about a second.
+    Decides covalencies 1, 2, ... split by split (`split_worst`) and stops at
+    the first with a non-Ramanujan split; returns the largest achievable
+    covalency before it (empty ones are vacuously safe).  Exact by a lemma:
+    at l <= 2m every index set of a split's sizes generates, since
+    |S| = 4m - l >= 2m and a proper subgroup holds at most 2m elements, the
+    identity included, so `split_worst` is exact there; above 2m it bounds
+    the members from above, so its "safe" verdicts are sound; and for
+    m <= EXACT_SCAN_MAX_M the first non-Ramanujan split, if any, is at l <= 2m.
     """
     if not 1 <= m <= EXACT_SCAN_MAX_M:
         raise ValueError(f"exhaustive scan needs 1 <= m <= {EXACT_SCAN_MAX_M}, got m={m}")
@@ -89,105 +92,72 @@ def exact_safe_covalency(m: int, family: str = FAMILY_ALL) -> int:
 
 
 def split_worst(m: int, l1: int, l2: int) -> Optional[SplitWorst]:
-    """The worst generating member of the split (l1, l2); None when no member generates.
+    """The worst of all index sets of the split (l1, l2); None when none generates.
 
-    A member is a set P of pair indices and a set Y of y-pair indices, of the
-    sizes `split_sizes` gives.  It generates iff its classes
-    g_P = gcd_class(m, P) and g_Y = gcd_class(m, Y, min Y) are coprime.  Its
-    non-trivial eigenvalues are the one-dim integers, fixed by the counts of
-    even indices in P and in Y, and |z_j(P)| + |w_j(Y)| for j = 1..m-1.  So
-    the two-dim peak over the members of one coprime class pair is
-    max_j (max_P |z_j| + max_Y |w_j|), at O((#P + #Y) m) cost, and one
-    representative per (class, even count) gives every one-dim value.  The
-    one-dim values are decided exactly, v^2 against 4 (|S| - 1); the two-dim
-    peak by `spectra.at_or_below`.
+    A set is P of pair and Y of y-pair indices, of the sizes `split_sizes`
+    gives.  Its one-dim eigenvalues are integers fixed by the counts of even
+    indices in P and Y, decided exactly on one set per feasible pair of
+    counts.  Its two-dim ones peak at |z_j(P)| + |w_j(Y)|; over the sets,
+    max_j (max_P |z_j| + max_Y |w_j|) by `_extremes`, decided by
+    `spectra.at_or_below`.  Sets that do not generate (only above l = 2m)
+    are not left out, so there the result bounds the generating members.
     """
     delta, n_pairs, n_ypairs = split_sizes(m, l1, l2)
-    pairs = _side(m, n_pairs, delta, False)
-    ypairs = _side(m, n_ypairs, 0, True)
-    classes = [(a, b) for a in pairs.maxima for b in ypairs.maxima if math.gcd(a, b) == 1]
-    if not classes:
+    if not generates_fast(m, range(1, n_pairs + 1), range(n_ypairs)):
         return None
-    members = {}
-    for (a, xe), p in pairs.reps.items():
-        for (b, ye), y in ypairs.reps.items():
-            if math.gcd(a, b) == 1:
-                members.setdefault((xe, ye), (p, y))
-    subsets = [CayleySubset(m, frozenset(p), delta, frozenset(y)) for p, y in members.values()]
+    subsets = [CayleySubset(m, p, delta, y)
+               for p in _by_even_count(range(1, m), n_pairs) for y in _by_even_count(range(m), n_ypairs)]
     size = subsets[0].size
-    one_dim = [v for s in subsets for v in spectra.one_dim_eigenvalues(s)]
-    ramanujan = all(v * v <= 4 * (size - 1) for v in one_dim if abs(v) != size)
-    peaks = np.array([pairs.maxima[a] + ypairs.maxima[b] for a, b in classes])
-    worst = float(peaks.max(initial=0.0))     # 0.0 at m = 1, which has no degree-2 blocks
+    one_dim = [abs(v) for s in subsets for v in spectra.one_dim_eigenvalues(s) if abs(v) != size]
+    ramanujan = all(v * v <= 4 * (size - 1) for v in one_dim)
+    tables = [_double_extremes(m, j) for j in range(1, m)]
+    peaks = [zs[delta][n_pairs] + arcs[n_ypairs] for zs, arcs in tables]
+    worst = max(peaks, default=0.0)     # 0.0 at m = 1, which has no degree-2 blocks
     scale = spectra.sums_error_scale(subsets[0])
     window = spectra.tie_window(scale)
 
     def exact_margin():
         import mpmath
 
-        # The member at the exact peak has double |z_j| and |w_j| within twice
-        # their error of its class maxima, far inside the window; so every set
-        # within the window of its class maximum, at every j whose double peak
-        # is within the window, is evaluated in mpmath, the two sides apart.
-        best = max(
-            max(abs(spectra._block(mpmath, m, p, delta, (), j)[0])
-                for p in _near(m, n_pairs, delta, False, a, j, pairs.maxima[a][j - 1] - window))
-            + max(spectra._block(mpmath, m, (), 0, y, j)[1]
-                  for y in _near(m, n_ypairs, 0, True, b, j, ypairs.maxima[b][j - 1] - window))
-            for (a, b), row in zip(classes, peaks)
-            for j, peak in enumerate(row.tolist(), 1) if peak >= worst - window
-        )
-        return best - 2 * mpmath.sqrt(size - 1)
+        near = [_extremes(mpmath, m, j) for j, peak in enumerate(peaks, 1) if peak >= worst - window]
+        return max(zs[delta][n_pairs] + arcs[n_ypairs] for zs, arcs in near) - 2 * mpmath.sqrt(size - 1)
 
     ramanujan &= spectra.at_or_below(worst - spectra.ramanujan_bound(subsets[0]), scale, exact_margin)
-    return SplitWorst(float(spectra._interior_max(one_dim + [worst], size)), ramanujan)
+    return SplitWorst(float(max(one_dim + [worst])), ramanujan)
 
 
-class _Side(NamedTuple):
-    """One side of a split, over all its index sets: pair sets, or y-pair sets."""
-
-    maxima: dict    # gcd class -> max over the class's sets of |z_j| (pairs) or |w_j| (y-pairs), j = 1..m-1
-    reps: dict      # (gcd class, count of even indices) -> one index set
-
-
-@lru_cache(maxsize=4 * EXACT_SCAN_MAX_M)     # every side of one m
-def _side(m: int, n: int, delta: int, ypairs: bool) -> _Side:
-    """Per-class maxima and representatives of the n-element pair (or y-pair) index sets."""
-    maxima, reps = {}, {}
-    for sets, classes, values, evens in _chunks(m, n, delta, ypairs):
-        for g in set(classes):
-            top = values[np.equal(classes, g)].max(axis=0)
-            maxima[g] = np.maximum(maxima[g], top) if g in maxima else top
-        reps.update(zip(zip(classes, evens), sets))
-    return _Side(maxima, reps)
+def _by_even_count(indices: range, n: int) -> list[frozenset]:
+    """One n-element subset of indices per feasible count of even members."""
+    evens, odds = [k for k in indices if k % 2 == 0], [k for k in indices if k % 2]
+    return [frozenset(evens[:e] + odds[:n - e]) for e in range(max(0, n - len(odds)), min(n, len(evens)) + 1)]
 
 
-def _near(m, n, delta, ypairs, g, j, floor):
-    """The index sets of class g whose |z_j| (|w_j|) is at least floor."""
-    for sets, classes, values, _ in _chunks(m, n, delta, ypairs):
-        for s, c, v in zip(sets, classes, values[:, j - 1].tolist()):
-            if c == g and v >= floor:
-                yield s
+def _extremes(xp, m: int, j: int):
+    """(zs, arcs) at frequency j in the module xp: math for doubles, mpmath at its working precision.
 
-
-def _chunks(m, n, delta, ypairs):
-    """All n-element pair (or y-pair) index sets, _SCAN_CHUNK at a time.
-
-    Yields the sets, their gcd classes, their |z_j| (|w_j|) for j = 1..m-1
-    from `spectra._block` on index columns, and their counts of even indices.
+    zs[delta][n] is the largest |z_j| over n pair indices, with x^m iff
+    delta: z_j is largest (smallest) on the first (last) n indices in the
+    integer order of min(jk, -jk) mod 2m, in which 2 cos(pi j k / m) falls.
+    arcs[n] is the largest |w_j| over n y-pair indices, 0 at odd j: the n
+    points e^(i pi j k / m) nearest the direction of the best sum lie on one
+    arc, so it is the best of the m circular windows of n in the integer
+    angle order jk mod 2m, repeats included.  The terms are `spectra._block`'s.
     """
-    sets_iter = combinations(range(0 if ypairs else 1, m), n)
-    while sets := list(islice(sets_iter, _SCAN_CHUNK)):
-        index = np.array(sets, dtype=np.int64).reshape(len(sets), n)
-        cols = index.T
-        classes = [gcd_class(m, s, s[0] if ypairs else 0) for s in sets]
-        values = np.empty((len(sets), m - 1))
-        for j in range(1, m):
-            if ypairs:
-                values[:, j - 1] = spectra._block(spectra.NUMPY_SUMS, m, (), 0, cols, j)[1]
-            else:
-                values[:, j - 1] = abs(spectra._block(spectra.NUMPY_SUMS, m, cols, delta, (), j)[0])
-        yield sets, classes, values, (index % 2 == 0).sum(axis=1).tolist()
+    step = xp.pi * j / m
+    order = sorted(range(1, m), key=lambda k: min(j * k % (2 * m), -j * k % (2 * m)))
+    values = [2.0 * xp.cos(step * k) for k in order]
+    zs = tuple(tuple(max(xp.fsum(values[:n]) + xm, -(xp.fsum(values[m - 1 - n:]) + xm)) for n in range(m))
+               for xm in (0, -1 if j % 2 else 1))
+    if j % 2:
+        return zs, (0 * step,) * (m + 1)
+    ring = 2 * sorted(range(m), key=lambda k: j * k % (2 * m))
+    re, im = [xp.cos(step * k) for k in ring], [xp.sin(step * k) for k in ring]
+    arcs = tuple(max(2.0 * xp.hypot(xp.fsum(re[i:i + n]), xp.fsum(im[i:i + n])) for i in range(m))
+                 for n in range(m + 1))
+    return zs, arcs
+
+
+_double_extremes = lru_cache(maxsize=EXACT_SCAN_MAX_M**2)(partial(_extremes, math))     # per (m, j) of the exact range
 
 
 def extremal_mu2(m: int, l1: int, l2: int) -> float:

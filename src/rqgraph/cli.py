@@ -240,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     lb = sub.add_parser("lbound", help="safe-covalency bounds")
     lb.add_argument("--m", type=int, required=True)
     lb.add_argument("--family", choices=["s", "sprime"], default="s")
-    lb.add_argument("--exact", action="store_true", help=f"exhaustive scan of every generating subset, m <= {bounds.EXACT_SCAN_MAX_M}; a mismatch with the trivial bound is reported, not a failure")
+    lb.add_argument("--exact", action="store_true", help=f"exact safe covalency from per-frequency extremes of each split, m <= {bounds.EXACT_SCAN_MAX_M}; a mismatch with the trivial bound is reported, not a failure")
     lb.set_defaults(func=cmd_lbound)
 
     ex = sub.add_parser("exceptional", help="classify an odd prime as exceptional or ordinary")

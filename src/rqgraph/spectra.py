@@ -81,10 +81,8 @@ def two_dim_eigenvalues(subset: CayleySubset, j: int) -> TwoDimEigenvalues:
 def _block(xp, m, pairs, delta, ypairs, j):
     """(z_j, |w_j|) in the numeric module xp: math for doubles, mpmath at its working precision.
 
-    With xp = NUMPY_SUMS, pairs and ypairs are sequences of index columns and
-    the sums come back as one array entry per row (per member).  With
-    xp = NUMPY_ROWS, j is a column of frequencies of one parity and the sums
-    come back as a column, one entry per frequency.
+    With xp = NUMPY_ROWS, j is a column of frequencies of one parity and the
+    sums come back as a column, one entry per frequency.
     """
     step = xp.pi * j / m
     z = xp.fsum(2.0 * xp.cos(step * k1) for k1 in pairs)
@@ -96,13 +94,6 @@ def _block(xp, m, pairs, delta, ypairs, j):
     re = xp.fsum(xp.cos(step * k2) for k2 in ypairs)
     im = xp.fsum(xp.sin(step * k2) for k2 in ypairs)
     return z, 2.0 * xp.hypot(re, im)
-
-
-# numpy as `_block`'s numeric module over index arrays: each index is a column
-# of many members' indices, and the sums add columns elementwise, in order.
-# Uncompensated, they err by at most about m^2 EPS more than fsum, far below
-# `tie_window`'s 1e-6 floor for any m of the exhaustive scan.
-NUMPY_SUMS = SimpleNamespace(pi=np.pi, cos=np.cos, sin=np.sin, hypot=np.hypot, fsum=sum)
 
 
 # An angle-matrix entry v (|v| <= 2) on the grid 2^-120, as is every |v| >= 2^-68,

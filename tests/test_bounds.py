@@ -18,7 +18,7 @@ from rqgraph.bounds import (
 )
 from rqgraph.dense import oracle_max_delta
 from rqgraph.spectra import at_or_below, is_ramanujan, lambda_max_nontrivial, mu_abs, ramanujan_bound
-from rqgraph.subsets import covalency_splits, enumerate_family, extremal_subset, parse_subset_literal
+from rqgraph.subsets import covalency_splits, enumerate_family, extremal_subset, parse_subset_literal, split_sizes
 
 
 def test_trivial_bound_examples():
@@ -42,23 +42,26 @@ def test_exact_safe_covalency_examples():
             exact_safe_covalency(m, family)
 
 
-# The exhaustive scan's results, s at m = 2..16 and sprime at m = 4..16.
+# Both families at m = 1..EXACT_SCAN_MAX_M, as an exhaustive enumeration of
+# every pair and y-pair index set of every split gave them.
 EXACT_SAFE_COVALENCY = {
-    "s": {2: 4, 3: 4, 4: 6, 5: 6, 6: 7, 7: 8, 8: 9, 9: 10, 10: 10, 11: 11, 12: 11,
-          13: 12, 14: 12, 15: 13, 16: 14},
-    "sprime": {4: 6, 5: 8, 6: 7, 7: 10, 8: 9, 9: 10, 10: 10, 11: 12, 12: 11,
-               13: 13, 14: 12, 15: 13, 16: 14},
+    "s": {1: 2, 2: 4, 3: 4, 4: 6, 5: 6, 6: 7, 7: 8, 8: 9, 9: 10, 10: 10, 11: 11, 12: 11,
+          13: 12, 14: 12, 15: 13, 16: 14, 17: 14, 18: 14, 19: 15, 20: 15},
+    "sprime": {1: 0, 2: 4, 3: 8, 4: 6, 5: 8, 6: 7, 7: 10, 8: 9, 9: 10, 10: 10, 11: 12, 12: 11,
+               13: 13, 14: 12, 15: 13, 16: 14, 17: 15, 18: 14, 19: 16, 20: 15},
 }
 
 
 def test_exact_safe_covalency_table():
+    for table in EXACT_SAFE_COVALENCY.values():
+        assert list(table) == list(range(1, bounds.EXACT_SCAN_MAX_M + 1))
     for family, table in EXACT_SAFE_COVALENCY.items():
         for m, want in table.items():
             assert exact_safe_covalency(m, family) == want, (family, m)
-    # past m = 12: s stays at l0; sprime is l0 + 1 at the prime 13 and l0 at 14, 15, 16
-    l0 = {m: trivial_bound(m) for m in range(13, 17)}
-    assert [EXACT_SAFE_COVALENCY["s"][m] - l0[m] for m in l0] == [0, 0, 0, 0]
-    assert [EXACT_SAFE_COVALENCY["sprime"][m] - l0[m] for m in l0] == [1, 0, 0, 0]
+    # past m = 12: s stays at l0; sprime is l0 + 1 at the primes 13, 17, 19 and l0 at the other m
+    l0 = {m: trivial_bound(m) for m in range(13, 21)}
+    assert [EXACT_SAFE_COVALENCY["s"][m] - l0[m] for m in l0] == [0, 0, 0, 0, 0, 0, 0, 0]
+    assert [EXACT_SAFE_COVALENCY["sprime"][m] - l0[m] for m in l0] == [1, 0, 0, 0, 1, 0, 1, 0]
 
 
 def _members_by_split(m, l):
@@ -68,8 +71,28 @@ def _members_by_split(m, l):
     return members
 
 
+def _check_split_worst(m, l1, l2, worst, split):
+    """`split_worst` against the members of the split one by one.
+
+    Up to covalency 2m every index set generates, so the verdict and the
+    worst lambda are the members'; above it they bound the members: lambda
+    from above, and "Ramanujan" only if every member is.
+    """
+    if split is None:
+        assert worst is None, (m, l1, l2)
+        return
+    ramanujan = all(is_ramanujan(s) for s in split)
+    lam = max(lambda_max_nontrivial(s) for s in split)
+    if l1 + l2 <= 2 * m:
+        assert worst.ramanujan == ramanujan, (m, l1, l2)
+        assert abs(worst.lam - lam) <= 1e-9, (m, l1, l2)
+    else:
+        assert ramanujan or not worst.ramanujan, (m, l1, l2)
+        assert worst.lam >= lam - 1e-9, (m, l1, l2)
+
+
 def test_split_worst_matches_per_subset_route(monkeypatch):
-    """Per split, the kernel's verdict and worst lambda are those of its members one by one.
+    """Per split, the verdict and worst lambda are those of its members one by one (bounds above l = 2m).
 
     Every covalency for m <= 7 (m = 1 has no degree-2 blocks), up to l0 + 2
     for m = 8 and 9, which holds the exact ties at m = 9, covalency 10.
@@ -93,24 +116,17 @@ def test_split_worst_matches_per_subset_route(monkeypatch):
                 before = len(escalations)
                 worst = split_worst(m, l1, l2)
                 kernel_escalations += len(escalations) - before
-                split = members.get((l1, l2))
-                if split is None:
-                    assert worst is None, (m, l1, l2)
-                    continue
-                assert worst.ramanujan == all(is_ramanujan(s) for s in split), (m, l1, l2)
-                assert abs(worst.lam - max(lambda_max_nontrivial(s) for s in split)) <= 1e-9, (m, l1, l2)
-    assert kernel_escalations > 0    # the kernel's mpmath path ran
+                _check_split_worst(m, l1, l2, worst, members.get((l1, l2)))
+    assert kernel_escalations > 0    # split_worst's mpmath path ran
 
 
 def test_split_worst_near_ties_are_sound(monkeypatch):
-    """With a tie window of at least 2, the kernel's mpmath margin decides most splits.
+    """With a tie window of at least 2, split_worst's mpmath margin decides most splits.
 
-    Its verdict must still be that of the members one by one, for every s
-    split with m <= 6 at every covalency.  Inside so wide a window the double
-    argmax of a class often differs from the exact one, so a margin that
-    took only the first set within the window of its class maximum would
-    disagree at (6, 8, 6), (6, 6, 10) and (6, 8, 10); a window of 1 is too
-    narrow to show it.
+    Its results must still agree with the members one by one, as
+    `_check_split_worst` states, for every s split with m <= 6 at every
+    covalency: the mpmath margin re-evaluates every frequency whose double
+    peak lies within the window, on the same integer-ordered extreme sets.
     """
     tie_window = spectra.tie_window
     monkeypatch.setattr(spectra, "tie_window", lambda scale: max(2.0, tie_window(scale)))
@@ -118,12 +134,29 @@ def test_split_worst_near_ties_are_sound(monkeypatch):
         for l in range(1, 4 * m):
             members = _members_by_split(m, l)
             for l1, l2 in covalency_splits(m, l, "s"):
-                worst = split_worst(m, l1, l2)
-                split = members.get((l1, l2))
-                if split is None:
-                    assert worst is None, (m, l1, l2)
-                else:
-                    assert worst.ramanujan == all(is_ramanujan(s) for s in split), (m, l1, l2)
+                _check_split_worst(m, l1, l2, split_worst(m, l1, l2), members.get((l1, l2)))
+
+
+def test_exactness_lemma_of_exact_safe_covalency():
+    """Up to covalency 2m every index set generates, and the first unsafe covalency is at most 2m.
+
+    A subset S at covalency l <= 2m has |S| >= 2m elements, and a proper
+    subgroup of Q_{4m} holds at most 2m, the identity included.  So
+    `split_worst` is exact there, and `exact_safe_covalency` is exact when
+    the first covalency with a non-Ramanujan split, if any, is at most 2m.
+    """
+    for m in range(1, 8):
+        for l in range(1, 2 * m + 1):
+            members = _members_by_split(m, l)
+            for l1, l2 in covalency_splits(m, l, "s"):
+                _, n_pairs, n_ypairs = split_sizes(m, l1, l2)
+                assert len(members[l1, l2]) == math.comb(m - 1, n_pairs) * math.comb(m, n_ypairs), (m, l1, l2)
+    for family in ("s", "sprime"):
+        for m in range(1, bounds.EXACT_SCAN_MAX_M + 1):
+            unsafe = (l for l in range(1, 4 * m) for l1, l2 in covalency_splits(m, l, family)
+                      if (worst := split_worst(m, l1, l2)) is not None and not worst.ramanujan)
+            first = next(unsafe, None)
+            assert first is None or first <= 2 * m, (family, m, first)
 
 
 def test_extremal_mu2_against_subset_spectrum():
