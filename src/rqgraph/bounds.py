@@ -1,12 +1,11 @@
 """Safe-covalency bounds and the spectral exceptional-prime test.
 
 The trivial bound l0 = floor(4 sqrt(m)) - 2 guarantees the Ramanujan property
-for every covalency up to it.  The exact safe covalency decides each split by
-per-frequency extremes: sorted prefix sums and best arcs.  At l0 + 1, primes
-whose closed-form eigenvalue stays under the Ramanujan bound are the
-"exceptional" ones.  It is that of the window-extremal subset at the
-maximizing split, which need not be the worst member of the restricted family
-(y-coset not full): p = 73 has a worse one.
+for every covalency up to it; the exact safe covalency decides each split by
+per-frequency prefix sums.  At l0 + 1, primes whose closed-form eigenvalue
+stays under the Ramanujan bound are the "exceptional" ones: that of the
+window-extremal subset at the maximizing split, which need not be the worst
+member of the restricted family (y-coset not full): p = 73 has a worse one.
 """
 
 from __future__ import annotations
@@ -95,12 +94,12 @@ def split_worst(m: int, l1: int, l2: int) -> Optional[SplitWorst]:
     """The worst of all index sets of the split (l1, l2); None when none generates.
 
     A set is P of pair and Y of y-pair indices, of the sizes `split_sizes`
-    gives.  Its one-dim eigenvalues are integers fixed by the counts of even
-    indices in P and Y, decided exactly on one set per feasible pair of
-    counts.  Its two-dim ones peak at |z_j(P)| + |w_j(Y)|; over the sets,
-    max_j (max_P |z_j| + max_Y |w_j|) by `_extremes`, decided by
-    `spectra.at_or_below`.  Sets that do not generate (only above l = 2m)
-    are not left out, so there the result bounds the generating members.
+    gives.  Its one-dim eigenvalues are integers affine in the even counts of
+    P and Y; |v| is convex and is |S| (left out) only at corners of the count
+    box, so the others peak at `_by_even_count`'s corners and edge-neighbours.
+    Its two-dim ones peak at max_j (max_P |z_j| + max_Y |w_j|) by `_extremes`,
+    decided by `spectra.at_or_below`.  Sets that do not generate (only above
+    l = 2m) are not left out: there the result bounds the generating members.
     """
     delta, n_pairs, n_ypairs = split_sizes(m, l1, l2)
     if not generates_fast(m, range(1, n_pairs + 1), range(n_ypairs)):
@@ -110,16 +109,14 @@ def split_worst(m: int, l1: int, l2: int) -> Optional[SplitWorst]:
     size = subsets[0].size
     one_dim = [abs(v) for s in subsets for v in spectra.one_dim_eigenvalues(s) if abs(v) != size]
     ramanujan = all(v * v <= 4 * (size - 1) for v in one_dim)
-    tables = [_double_extremes(m, j) for j in range(1, m)]
-    peaks = [zs[delta][n_pairs] + arcs[n_ypairs] for zs, arcs in tables]
+    peaks = [zs[delta][n_pairs] + arcs[n_ypairs] for zs, arcs in map(partial(_double_extremes, m), range(1, m))]
     worst = max(peaks, default=0.0)     # 0.0 at m = 1, which has no degree-2 blocks
     scale = spectra.sums_error_scale(subsets[0])
-    window = spectra.tie_window(scale)
 
     def exact_margin():
         import mpmath
 
-        near = [_extremes(mpmath, m, j) for j, peak in enumerate(peaks, 1) if peak >= worst - window]
+        near = [_extremes(mpmath, m, j) for j, peak in enumerate(peaks, 1) if peak >= worst - spectra.tie_window(scale)]
         return max(zs[delta][n_pairs] + arcs[n_ypairs] for zs, arcs in near) - 2 * mpmath.sqrt(size - 1)
 
     ramanujan &= spectra.at_or_below(worst - spectra.ramanujan_bound(subsets[0]), scale, exact_margin)
@@ -127,9 +124,10 @@ def split_worst(m: int, l1: int, l2: int) -> Optional[SplitWorst]:
 
 
 def _by_even_count(indices: range, n: int) -> list[frozenset]:
-    """One n-element subset of indices per feasible count of even members."""
+    """One n-element subset of indices per end count of even members: lo, lo + 1, hi - 1 and hi."""
     evens, odds = [k for k in indices if k % 2 == 0], [k for k in indices if k % 2]
-    return [frozenset(evens[:e] + odds[:n - e]) for e in range(max(0, n - len(odds)), min(n, len(evens)) + 1)]
+    lo, hi = max(0, n - len(odds)), min(n, len(evens))
+    return [frozenset(evens[:e] + odds[:n - e]) for e in sorted({lo, lo + 1, hi - 1, hi}) if lo <= e <= hi]
 
 
 def _extremes(xp, m: int, j: int):
@@ -138,10 +136,14 @@ def _extremes(xp, m: int, j: int):
     zs[delta][n] is the largest |z_j| over n pair indices, with x^m iff
     delta: z_j is largest (smallest) on the first (last) n indices in the
     integer order of min(jk, -jk) mod 2m, in which 2 cos(pi j k / m) falls.
-    arcs[n] is the largest |w_j| over n y-pair indices, 0 at odd j: the n
-    points e^(i pi j k / m) nearest the direction of the best sum lie on one
-    arc, so it is the best of the m circular windows of n in the integer
-    angle order jk mod 2m, repeats included.  The terms are `spectra._block`'s.
+    arcs[n], the largest |w_j| over n y-pair indices (0 at odd j), is twice
+    |sum| of the first n points e^(i pi j k / m) in the order jk mod 2m.  A
+    best n-set is an arc of these g-th roots of unity, g = m / gcd(j / 2, m),
+    mu each, closed under conjugation.  Centred on angle 0, an arc with a <= mu
+    points in its first class, b <= mu in its last and full classes of sum R
+    between has |sum|^2 = (R + (a + b) cos t)^2 + ((b - a) sin t)^2, convex
+    in a at fixed a + b: a best arc starts (or, conjugated, ends) at a class
+    boundary, which a rotation moves to angle 0.  Terms: `spectra._block`'s.
     """
     step = xp.pi * j / m
     order = sorted(range(1, m), key=lambda k: min(j * k % (2 * m), -j * k % (2 * m)))
@@ -150,11 +152,9 @@ def _extremes(xp, m: int, j: int):
                for xm in (0, -1 if j % 2 else 1))
     if j % 2:
         return zs, (0 * step,) * (m + 1)
-    ring = 2 * sorted(range(m), key=lambda k: j * k % (2 * m))
+    ring = sorted(range(m), key=lambda k: j * k % (2 * m))
     re, im = [xp.cos(step * k) for k in ring], [xp.sin(step * k) for k in ring]
-    arcs = tuple(max(2.0 * xp.hypot(xp.fsum(re[i:i + n]), xp.fsum(im[i:i + n])) for i in range(m))
-                 for n in range(m + 1))
-    return zs, arcs
+    return zs, tuple(2.0 * xp.hypot(xp.fsum(re[:n]), xp.fsum(im[:n])) for n in range(m + 1))
 
 
 _double_extremes = lru_cache(maxsize=EXACT_SCAN_MAX_M**2)(partial(_extremes, math))     # per (m, j) of the exact range

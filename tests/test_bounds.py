@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -18,7 +19,14 @@ from rqgraph.bounds import (
 )
 from rqgraph.dense import oracle_max_delta
 from rqgraph.spectra import at_or_below, is_ramanujan, lambda_max_nontrivial, mu_abs, ramanujan_bound
-from rqgraph.subsets import covalency_splits, enumerate_family, extremal_subset, parse_subset_literal, split_sizes
+from rqgraph.subsets import (
+    CayleySubset,
+    covalency_splits,
+    enumerate_family,
+    extremal_subset,
+    parse_subset_literal,
+    split_sizes,
+)
 
 
 def test_trivial_bound_examples():
@@ -157,6 +165,65 @@ def test_exactness_lemma_of_exact_safe_covalency():
                       if (worst := split_worst(m, l1, l2)) is not None and not worst.ramanujan)
             first = next(unsafe, None)
             assert first is None or first <= 2 * m, (family, m, first)
+
+
+def _every_even_count(indices, n):
+    """One n-element subset of indices per feasible count of even members."""
+    evens, odds = [k for k in indices if k % 2 == 0], [k for k in indices if k % 2]
+    return [frozenset(evens[:e] + odds[:n - e]) for e in range(len(evens) + 1) if 0 <= n - e <= len(odds)]
+
+
+def _one_dim_peak(m, l1, l2, by_even_count):
+    """Largest one-dim |v| below |S| over the sets by_even_count gives, and whether it is Ramanujan."""
+    delta, n_pairs, n_ypairs = split_sizes(m, l1, l2)
+    size = 4 * m - l1 - l2
+    sets = [CayleySubset(m, p, delta, y)
+            for p in by_even_count(range(1, m), n_pairs) for y in by_even_count(range(m), n_ypairs)]
+    top = max((abs(v) for s in sets for v in spectra.one_dim_eigenvalues(s) if abs(v) != size), default=0)
+    return top, top * top <= 4 * (size - 1)
+
+
+def test_one_dim_values_come_from_the_end_even_counts():
+    """`_by_even_count`'s end counts give the one-dim peak and verdict of every count, s splits at m <= 12.
+
+    The corners of the count box alone do not: at m = 8, split (10, 8), they
+    give 2 where all counts give 10, which is not Ramanujan.
+    """
+    for by_even_count in (_every_even_count, bounds._by_even_count):
+        assert _one_dim_peak(8, 10, 8, by_even_count) == (10, False)
+    for m in range(1, 13):
+        for l in range(1, 4 * m):
+            for l1, l2 in covalency_splits(m, l, "s"):
+                want = _one_dim_peak(m, l1, l2, _every_even_count)
+                assert _one_dim_peak(m, l1, l2, bounds._by_even_count) == want, (m, l1, l2)
+
+
+def _best_window_arcs(xp, m, j):
+    """Twice the largest |sum| of e^(i pi j k / m) over the m circular windows of each size n = 0..m."""
+    ring = 2 * sorted(range(m), key=lambda k: j * k % (2 * m))
+    re, im = [xp.cos(xp.pi * j * k / m) for k in ring], [xp.sin(xp.pi * j * k / m) for k in ring]
+    return [max(2 * xp.hypot(xp.fsum(re[i:i + n]), xp.fsum(im[i:i + n])) for i in range(m)) for n in range(m + 1)]
+
+
+def test_arcs_are_prefixes_from_angle_0():
+    """`_extremes`' arcs, prefixes of the ring from angle 0, equal the best circular windows.
+
+    At 50 digits for every even j at m <= 16, in doubles (`_double_extremes`)
+    for m <= 40; at m <= 8 the best window is also the best of all y-pair sets.
+    """
+    with mpmath.workdps(50):
+        for m in range(1, 17):
+            for j in range(2, m, 2):
+                got, want = bounds._extremes(mpmath, m, j)[1], _best_window_arcs(mpmath, m, j)
+                assert max(abs(a - b) for a, b in zip(got, want)) <= mpmath.mpf("1e-40"), (m, j)
+    for m in range(1, 41):
+        for j in range(2, m, 2):
+            got, want = bounds._double_extremes(m, j)[1], _best_window_arcs(math, m, j)
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12, (m, j)
+            if m <= 8:
+                points = [complex(math.cos(math.pi * j * k / m), math.sin(math.pi * j * k / m)) for k in range(m)]
+                best = [max(2 * abs(sum(c)) for c in itertools.combinations(points, n)) for n in range(m + 1)]
+                assert max(abs(a - b) for a, b in zip(best, want)) <= 1e-12, (m, j)
 
 
 def test_extremal_mu2_against_subset_spectrum():
