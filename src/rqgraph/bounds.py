@@ -1,25 +1,25 @@
 """Safe-covalency bounds and the spectral exceptional-prime test.
 
 The trivial bound l0 = floor(4 sqrt(m)) - 2 guarantees the Ramanujan property
-for every covalency up to it; the exact safe covalency decides each split by
-per-frequency prefix sums.  At l0 + 1, primes whose closed-form eigenvalue
-stays under the Ramanujan bound are the "exceptional" ones: that of the
-window-extremal subset at the maximizing split, which need not be the worst
-member of the restricted family (y-coset not full): p = 73 has a worse one.
+at every covalency up to it.  The exact safe covalency decides each split by
+prefix sums at one frequency j | 2m per class gcd(j, 2m), tabled for the latest
+m only, and one-dim values from (even, odd) count pairs.  Exceptional primes
+keep the window-extremal subset at l0 + 1's maximizing split Ramanujan (closed
+form); the restricted family (y-coset not full) can be worse, as at p = 73.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import spectra
 from .group import generates_fast
-from .subsets import FAMILY_ALL, CayleySubset, check_split, covalency_splits, split_sizes
+from .subsets import FAMILY_ALL, SigmaCounts, check_split, covalency_splits, split_sizes
 
 EXACT_SCAN_MAX_M = 20    # the m range pinned against an exhaustive enumeration of index sets
 MIN_EXCEPTIONAL_PRIME = 67     # theorem scope of both classification routes
@@ -29,7 +29,7 @@ _MAX_GAP_K = 1 << 28    # keeps 36 k^2 + 3 (r + 3) k + c inside int64
 class SplitWorst(NamedTuple):
     """The worst generating member of one covalency split; above l = 2m, a bound on it."""
 
-    lam: float          # largest lambda_max_nontrivial among the members, or more above l = 2m
+    lam: float          # double peak of lambda_max_nontrivial, within EPS * sums_error_scale even if mpmath decided
     ramanujan: bool     # every member is Ramanujan; above l = 2m, False may be a false alarm
 
 
@@ -96,38 +96,38 @@ def split_worst(m: int, l1: int, l2: int) -> Optional[SplitWorst]:
     A set is P of pair and Y of y-pair indices, of the sizes `split_sizes`
     gives.  Its one-dim eigenvalues are integers affine in the even counts of
     P and Y; |v| is convex and is |S| (left out) only at corners of the count
-    box, so the others peak at `_by_even_count`'s corners and edge-neighbours.
-    Its two-dim ones peak at max_j (max_P |z_j| + max_Y |w_j|) by `_extremes`,
-    decided by `spectra.at_or_below`.  Sets that do not generate (only above
-    l = 2m) are not left out: there the result bounds the generating members.
+    box, so the others peak at `_even_counts`' corners and edge-neighbours.
+    Its two-dim ones peak at max_j (max_P |z_j| + max_Y |w_j|), j in
+    `_double_extremes`, decided by `spectra.at_or_below`.  Non-generating sets
+    (only above l = 2m) are kept: there the result bounds the generating ones.
     """
     delta, n_pairs, n_ypairs = split_sizes(m, l1, l2)
     if not generates_fast(m, range(1, n_pairs + 1), range(n_ypairs)):
         return None
-    subsets = [CayleySubset(m, p, delta, y)
-               for p in _by_even_count(range(1, m), n_pairs) for y in _by_even_count(range(m), n_ypairs)]
-    size = subsets[0].size
-    one_dim = [abs(v) for s in subsets for v in spectra.one_dim_eigenvalues(s) if abs(v) != size]
+    size = 4 * m - l1 - l2
+    one_dim = [abs(v) for x in _even_counts(range(1, m), n_pairs) for y in _even_counts(range(m), n_ypairs)
+               for v in spectra.one_dim_eigenvalues(m, delta, SigmaCounts(x, n_pairs - x, y, n_ypairs - y))
+               if abs(v) != size]
     ramanujan = all(v * v <= 4 * (size - 1) for v in one_dim)
-    peaks = [zs[delta][n_pairs] + arcs[n_ypairs] for zs, arcs in map(partial(_double_extremes, m), range(1, m))]
-    worst = max(peaks, default=0.0)     # 0.0 at m = 1, which has no degree-2 blocks
-    scale = spectra.sums_error_scale(subsets[0])
+    peaks = {j: zs[delta][n_pairs] + arcs[n_ypairs] for j, (zs, arcs) in _double_extremes(m).items()}
+    worst = max(peaks.values(), default=0.0)     # 0.0 at m = 1, which has no degree-2 blocks
+    scale = spectra.sums_error_scale(m, size)
 
     def exact_margin():
         import mpmath
 
-        near = [_extremes(mpmath, m, j) for j, peak in enumerate(peaks, 1) if peak >= worst - spectra.tie_window(scale)]
+        near = [_extremes(mpmath, m, j) for j, peak in peaks.items() if peak >= worst - spectra.tie_window(scale)]
         return max(zs[delta][n_pairs] + arcs[n_ypairs] for zs, arcs in near) - 2 * mpmath.sqrt(size - 1)
 
-    ramanujan &= spectra.at_or_below(worst - spectra.ramanujan_bound(subsets[0]), scale, exact_margin)
+    ramanujan &= spectra.at_or_below(worst - ramanujan_bound_at(m, l1 + l2), scale, exact_margin)
     return SplitWorst(float(max(one_dim + [worst])), ramanujan)
 
 
-def _by_even_count(indices: range, n: int) -> list[frozenset]:
-    """One n-element subset of indices per end count of even members: lo, lo + 1, hi - 1 and hi."""
-    evens, odds = [k for k in indices if k % 2 == 0], [k for k in indices if k % 2]
-    lo, hi = max(0, n - len(odds)), min(n, len(evens))
-    return [frozenset(evens[:e] + odds[:n - e]) for e in sorted({lo, lo + 1, hi - 1, hi}) if lo <= e <= hi]
+def _even_counts(indices: range, n: int) -> list[int]:
+    """The end counts of even members of an n-element subset of indices: lo, lo + 1, hi - 1 and hi."""
+    evens = len(indices[indices.start % 2::2])
+    lo, hi = max(0, n - (len(indices) - evens)), min(n, evens)
+    return [e for e in sorted({lo, lo + 1, hi - 1, hi}) if lo <= e <= hi]
 
 
 def _extremes(xp, m: int, j: int):
@@ -157,7 +157,11 @@ def _extremes(xp, m: int, j: int):
     return zs, tuple(2.0 * xp.hypot(xp.fsum(re[:n]), xp.fsum(im[:n])) for n in range(m + 1))
 
 
-_double_extremes = lru_cache(maxsize=EXACT_SCAN_MAX_M**2)(partial(_extremes, math))     # per (m, j) of the exact range
+@lru_cache(maxsize=1)    # the latest m only: callers go m by m
+def _double_extremes(m: int) -> dict:
+    """`_extremes` in doubles at the j < m dividing 2m, one per class gcd(j, 2m): a unit mod 2m maps j to any j' of
+    its gcd, permutes k in Z/2m and fixes 0 and m, so the pair multiset, x^m's sign and the y-pair ring agree."""
+    return {j: _extremes(math, m, j) for j in range(1, m) if 2 * m % j == 0}
 
 
 def extremal_mu2(m: int, l1: int, l2: int) -> float:

@@ -20,7 +20,7 @@ from rqgraph.bounds import (
 from rqgraph.dense import oracle_max_delta
 from rqgraph.spectra import at_or_below, is_ramanujan, lambda_max_nontrivial, mu_abs, ramanujan_bound
 from rqgraph.subsets import (
-    CayleySubset,
+    SigmaCounts,
     covalency_splits,
     enumerate_family,
     extremal_subset,
@@ -168,34 +168,35 @@ def test_exactness_lemma_of_exact_safe_covalency():
 
 
 def _every_even_count(indices, n):
-    """One n-element subset of indices per feasible count of even members."""
-    evens, odds = [k for k in indices if k % 2 == 0], [k for k in indices if k % 2]
-    return [frozenset(evens[:e] + odds[:n - e]) for e in range(len(evens) + 1) if 0 <= n - e <= len(odds)]
+    """Every feasible count of even members of an n-element subset of indices."""
+    evens = sum(1 for k in indices if k % 2 == 0)
+    return [e for e in range(evens + 1) if 0 <= n - e <= len(indices) - evens]
 
 
-def _one_dim_peak(m, l1, l2, by_even_count):
-    """Largest one-dim |v| below |S| over the sets by_even_count gives, and whether it is Ramanujan."""
+def _one_dim_peak(m, l1, l2, even_counts):
+    """Largest one-dim |v| below |S| over the parity counts even_counts gives, and whether it is Ramanujan."""
     delta, n_pairs, n_ypairs = split_sizes(m, l1, l2)
     size = 4 * m - l1 - l2
-    sets = [CayleySubset(m, p, delta, y)
-            for p in by_even_count(range(1, m), n_pairs) for y in by_even_count(range(m), n_ypairs)]
-    top = max((abs(v) for s in sets for v in spectra.one_dim_eigenvalues(s) if abs(v) != size), default=0)
+    counts = [SigmaCounts(x, n_pairs - x, y, n_ypairs - y)
+              for x in even_counts(range(1, m), n_pairs) for y in even_counts(range(m), n_ypairs)]
+    top = max((abs(v) for c in counts for v in spectra.one_dim_eigenvalues(m, delta, c) if abs(v) != size),
+              default=0)
     return top, top * top <= 4 * (size - 1)
 
 
 def test_one_dim_values_come_from_the_end_even_counts():
-    """`_by_even_count`'s end counts give the one-dim peak and verdict of every count, s splits at m <= 12.
+    """`_even_counts`' end counts give the one-dim peak and verdict of every count, s splits at m <= 12.
 
     The corners of the count box alone do not: at m = 8, split (10, 8), they
     give 2 where all counts give 10, which is not Ramanujan.
     """
-    for by_even_count in (_every_even_count, bounds._by_even_count):
-        assert _one_dim_peak(8, 10, 8, by_even_count) == (10, False)
+    for even_counts in (_every_even_count, bounds._even_counts):
+        assert _one_dim_peak(8, 10, 8, even_counts) == (10, False)
     for m in range(1, 13):
         for l in range(1, 4 * m):
             for l1, l2 in covalency_splits(m, l, "s"):
                 want = _one_dim_peak(m, l1, l2, _every_even_count)
-                assert _one_dim_peak(m, l1, l2, bounds._by_even_count) == want, (m, l1, l2)
+                assert _one_dim_peak(m, l1, l2, bounds._even_counts) == want, (m, l1, l2)
 
 
 def _best_window_arcs(xp, m, j):
@@ -208,8 +209,8 @@ def _best_window_arcs(xp, m, j):
 def test_arcs_are_prefixes_from_angle_0():
     """`_extremes`' arcs, prefixes of the ring from angle 0, equal the best circular windows.
 
-    At 50 digits for every even j at m <= 16, in doubles (`_double_extremes`)
-    for m <= 40; at m <= 8 the best window is also the best of all y-pair sets.
+    At 50 digits for every even j at m <= 16, in doubles for m <= 40; at m <= 8
+    the best window is also the best of all y-pair sets.
     """
     with mpmath.workdps(50):
         for m in range(1, 17):
@@ -218,12 +219,42 @@ def test_arcs_are_prefixes_from_angle_0():
                 assert max(abs(a - b) for a, b in zip(got, want)) <= mpmath.mpf("1e-40"), (m, j)
     for m in range(1, 41):
         for j in range(2, m, 2):
-            got, want = bounds._double_extremes(m, j)[1], _best_window_arcs(math, m, j)
+            got, want = bounds._extremes(math, m, j)[1], _best_window_arcs(math, m, j)
             assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12, (m, j)
             if m <= 8:
                 points = [complex(math.cos(math.pi * j * k / m), math.sin(math.pi * j * k / m)) for k in range(m)]
                 best = [max(2 * abs(sum(c)) for c in itertools.combinations(points, n)) for n in range(m + 1)]
                 assert max(abs(a - b) for a, b in zip(best, want)) <= 1e-12, (m, j)
+
+
+def test_extremes_depend_on_j_only_through_its_gcd_class():
+    """`_double_extremes` keeps one j per class gcd(j, 2m), and every j's tables equal its class's.
+
+    Entry by entry within 1e-12 in doubles for m <= 40, and within 1e-40 at
+    50 digits for m <= 16.
+    """
+    def gap(xp, m, j):
+        a, b = bounds._extremes(xp, m, j), bounds._extremes(xp, m, math.gcd(j, 2 * m))
+        rows = [*zip(a[0], b[0]), (a[1], b[1])]
+        return max((abs(x - y) for r, s in rows for x, y in zip(r, s)), default=0)
+
+    for m in range(1, 41):
+        assert set(bounds._double_extremes(m)) == {math.gcd(j, 2 * m) for j in range(1, m)}, m
+        for j in range(1, m):
+            assert gap(math, m, j) <= 1e-12, (m, j)
+    with mpmath.workdps(50):
+        for m in range(1, 17):
+            for j in range(1, m):
+                assert gap(mpmath, m, j) <= mpmath.mpf("1e-40"), (m, j)
+
+
+def test_split_worst_lam_is_the_double_peak_at_exact_ties():
+    """At the exact ties (lambda = 2 sqrt(|S| - 1)) mpmath decides Ramanujan, and lam stays the double peak."""
+    for m, l1, l2 in ((9, 4, 6), (9, 6, 4), (16, 6, 8), (16, 8, 6)):
+        size = 4 * m - l1 - l2
+        worst = split_worst(m, l1, l2)
+        assert worst.ramanujan, (m, l1, l2)
+        assert abs(worst.lam - 2 * math.sqrt(size - 1)) <= spectra.EPS * spectra.sums_error_scale(m, size), (m, l1, l2)
 
 
 def test_extremal_mu2_against_subset_spectrum():
