@@ -1,11 +1,10 @@
 """Safe-covalency bounds and the spectral exceptional-prime test.
 
-The trivial bound l0 = floor(4 sqrt(m)) - 2 guarantees the Ramanujan property
-at every covalency up to it.  The exact safe covalency decides each split by
-prefix sums at one frequency j | 2m per class gcd(j, 2m), tabled for the latest
-m only, and one-dim values from (even, odd) count pairs.  Exceptional primes
-keep the window-extremal subset at l0 + 1's maximizing split Ramanujan (closed
-form); the restricted family (y-coset not full) can be worse, as at p = 73.
+The trivial bound l0 = floor(4 sqrt(m)) - 2 keeps every covalency up to it
+Ramanujan.  The exact safe covalency decides each split by prefix sums at one
+j | 2m per class gcd(j, 2m), tabled for the latest m only.  "Exceptional"
+primes keep the window-extremal subset at l0 + 1's maximizing split Ramanujan
+(closed form); the restricted family (y-coset not full) can be worse (p = 73).
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import spectra
 from .group import generates_fast
-from .subsets import FAMILY_ALL, SigmaCounts, check_split, covalency_splits, split_sizes
+from .subsets import FAMILY_ALL, CayleySubset, check_split, covalency_splits, split_sizes
 
 EXACT_SCAN_MAX_M = 20    # the m range pinned against an exhaustive enumeration of index sets
 MIN_EXCEPTIONAL_PRIME = 67     # theorem scope of both classification routes
@@ -29,7 +28,7 @@ _MAX_GAP_K = 1 << 28    # keeps 36 k^2 + 3 (r + 3) k + c inside int64
 class SplitWorst(NamedTuple):
     """The worst generating member of one covalency split; above l = 2m, a bound on it."""
 
-    lam: float          # double peak of lambda_max_nontrivial, within EPS * sums_error_scale even if mpmath decided
+    lam: float          # double peak of lambda_max_nontrivial (EPS * sums_error_scale close at ties), or more above 2m
     ramanujan: bool     # every member is Ramanujan; above l = 2m, False may be a false alarm
 
 
@@ -96,7 +95,7 @@ def split_worst(m: int, l1: int, l2: int) -> Optional[SplitWorst]:
     A set is P of pair and Y of y-pair indices, of the sizes `split_sizes`
     gives.  Its one-dim eigenvalues are integers affine in the even counts of
     P and Y; |v| is convex and is |S| (left out) only at corners of the count
-    box, so the others peak at `_even_counts`' corners and edge-neighbours.
+    box, so the others peak at `_by_even_count`'s corners and edge-neighbours.
     Its two-dim ones peak at max_j (max_P |z_j| + max_Y |w_j|), j in
     `_double_extremes`, decided by `spectra.at_or_below`.  Non-generating sets
     (only above l = 2m) are kept: there the result bounds the generating ones.
@@ -104,14 +103,14 @@ def split_worst(m: int, l1: int, l2: int) -> Optional[SplitWorst]:
     delta, n_pairs, n_ypairs = split_sizes(m, l1, l2)
     if not generates_fast(m, range(1, n_pairs + 1), range(n_ypairs)):
         return None
-    size = 4 * m - l1 - l2
-    one_dim = [abs(v) for x in _even_counts(range(1, m), n_pairs) for y in _even_counts(range(m), n_ypairs)
-               for v in spectra.one_dim_eigenvalues(m, delta, SigmaCounts(x, n_pairs - x, y, n_ypairs - y))
-               if abs(v) != size]
+    subsets = [CayleySubset(m, p, delta, y)
+               for p in _by_even_count(range(1, m), n_pairs) for y in _by_even_count(range(m), n_ypairs)]
+    size = subsets[0].size
+    one_dim = [abs(v) for s in subsets for v in spectra.one_dim_eigenvalues(s) if abs(v) != size]
     ramanujan = all(v * v <= 4 * (size - 1) for v in one_dim)
     peaks = {j: zs[delta][n_pairs] + arcs[n_ypairs] for j, (zs, arcs) in _double_extremes(m).items()}
     worst = max(peaks.values(), default=0.0)     # 0.0 at m = 1, which has no degree-2 blocks
-    scale = spectra.sums_error_scale(m, size)
+    scale = spectra.sums_error_scale(subsets[0])
 
     def exact_margin():
         import mpmath
@@ -119,15 +118,15 @@ def split_worst(m: int, l1: int, l2: int) -> Optional[SplitWorst]:
         near = [_extremes(mpmath, m, j) for j, peak in peaks.items() if peak >= worst - spectra.tie_window(scale)]
         return max(zs[delta][n_pairs] + arcs[n_ypairs] for zs, arcs in near) - 2 * mpmath.sqrt(size - 1)
 
-    ramanujan &= spectra.at_or_below(worst - ramanujan_bound_at(m, l1 + l2), scale, exact_margin)
+    ramanujan &= spectra.at_or_below(worst - spectra.ramanujan_bound(subsets[0]), scale, exact_margin)
     return SplitWorst(float(max(one_dim + [worst])), ramanujan)
 
 
-def _even_counts(indices: range, n: int) -> list[int]:
-    """The end counts of even members of an n-element subset of indices: lo, lo + 1, hi - 1 and hi."""
-    evens = len(indices[indices.start % 2::2])
-    lo, hi = max(0, n - (len(indices) - evens)), min(n, evens)
-    return [e for e in sorted({lo, lo + 1, hi - 1, hi}) if lo <= e <= hi]
+def _by_even_count(indices: range, n: int) -> list[frozenset]:
+    """One n-element subset of indices per end count of even members: lo, lo + 1, hi - 1 and hi."""
+    evens, odds = [k for k in indices if k % 2 == 0], [k for k in indices if k % 2]
+    lo, hi = max(0, n - len(odds)), min(n, len(evens))
+    return [frozenset(evens[:e] + odds[:n - e]) for e in sorted({lo, lo + 1, hi - 1, hi}) if lo <= e <= hi]
 
 
 def _extremes(xp, m: int, j: int):

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .subsets import CayleySubset, SigmaCounts
+from .subsets import CayleySubset
 
 # The near-tie rule, `at_or_below`.
 NEAR_TIE_MARGIN = 1e-6
@@ -45,19 +45,23 @@ class Spectrum:
     entries: tuple[tuple[float, int], ...]     # (value, multiplicity) groups
 
 
-def one_dim_eigenvalues(m: int, delta: int, counts: SigmaCounts) -> tuple[int, int, int, int]:
-    """Eigenvalues of the four linear characters (integers), from a subset's parity counts.
+def one_dim_eigenvalues(subset: CayleySubset) -> tuple[int, int, int, int]:
+    """Eigenvalues of the four linear characters (integers).
 
     The first is the degree |S|; the third and fourth depend on the parity
     of m because the character tables differ between odd and even m.
     """
-    size_x = 2 * (counts.x_even + counts.x_odd) + delta
-    size_y = 2 * (counts.y_even + counts.y_odd)
-    x = 2 * (counts.x_even - counts.x_odd)
-    if m % 2 == 1:
-        return size_x + size_y, size_x - size_y, x - delta, x - delta
-    y = 2 * (counts.y_even - counts.y_odd)
-    return size_x + size_y, size_x - size_y, x + delta + y, x + delta - y
+    sc = subset.sigma_counts()
+    delta = subset.delta
+    lam1 = subset.size
+    lam2 = subset.size_x - subset.size_y
+    if subset.m % 2 == 1:
+        lam3 = lam4 = 2 * (sc.x_even - sc.x_odd) - delta
+    else:
+        base = 2 * (sc.x_even - sc.x_odd) + delta
+        lam3 = base + 2 * (sc.y_even - sc.y_odd)
+        lam4 = base - 2 * (sc.y_even - sc.y_odd)
+    return lam1, lam2, lam3, lam4
 
 
 def two_dim_eigenvalues(subset: CayleySubset, j: int) -> TwoDimEigenvalues:
@@ -165,7 +169,7 @@ def _values(xp, subset: CayleySubset) -> list:
 
     2m + 2 values: the spectrum as a set, each block value having multiplicity 2.
     """
-    vals = list(one_dim_eigenvalues(subset.m, subset.delta, subset.sigma_counts()))
+    vals = list(one_dim_eigenvalues(subset))
     blocks = (subset.m, subset.pair_bits, subset.delta, subset.ypair_bits)
     for j in range(1, subset.m):
         z, w = _block(xp, *blocks, j)
@@ -187,7 +191,7 @@ def _raw_values(subset: CayleySubset) -> tuple[float, ...]:
     pairs, ypairs = ([np.fromiter(b, float, len(b))] for b in (subset.pair_bits, subset.ypair_bits))
     width = 2 * max(1, BLOCK_ENTRIES // max(len(subset.pair_bits), len(subset.ypair_bits), 1))
     vals = np.empty(2 * m + 2)
-    vals[:4] = one_dim_eigenvalues(m, subset.delta, subset.sigma_counts())
+    vals[:4] = one_dim_eigenvalues(subset)
     for first in (1, 2):
         for lo in range(first, m, width):
             hi = min(lo + width, m)
@@ -270,9 +274,9 @@ def at_or_below(margin: float, scale: float, exact_margin) -> bool:
         return bool(exact_margin() <= TIE_TOL)
 
 
-def sums_error_scale(m: int, size: int) -> float:
-    """EPS times this bounds the error of a double eigenvalue or margin when |S| = size (see `at_or_below`)."""
-    return size * (2 * math.pi * m + 4)
+def sums_error_scale(subset: CayleySubset) -> float:
+    """EPS times this bounds the error of a double eigenvalue or margin of subset (see `at_or_below`)."""
+    return subset.size * (2 * math.pi * subset.m + 4)
 
 
 def _margin_mp(subset: CayleySubset):
@@ -289,4 +293,4 @@ def is_ramanujan(subset: CayleySubset) -> bool:
     genuinely tight, so near-ties are settled on the same sums in mpmath.
     """
     margin = lambda_max_nontrivial(subset) - ramanujan_bound(subset)
-    return at_or_below(margin, sums_error_scale(subset.m, subset.size), lambda: _margin_mp(subset))
+    return at_or_below(margin, sums_error_scale(subset), lambda: _margin_mp(subset))

@@ -24,15 +24,11 @@ from conftest import structural_subsets
 COCKTAIL = parse_subset_literal("m=3;pairs=1,2;delta=0;ypairs=0,1,2")
 
 
-def _one_dim(s):
-    return one_dim_eigenvalues(s.m, s.delta, s.sigma_counts())
-
-
 def test_one_dim_examples():
-    assert _one_dim(full_subset(3)) == (11, -1, -1, -1)
+    assert one_dim_eigenvalues(full_subset(3)) == (11, -1, -1, -1)
     # complete graph minus a perfect matching on 12 vertices
-    assert _one_dim(COCKTAIL) == (10, -2, 0, 0)
-    assert _one_dim(full_subset(4)) == (15, -1, -1, -1)
+    assert one_dim_eigenvalues(COCKTAIL) == (10, -2, 0, 0)
+    assert one_dim_eigenvalues(full_subset(4)) == (15, -1, -1, -1)
 
 
 def test_one_dim_against_character_sums():
@@ -49,7 +45,7 @@ def test_one_dim_against_character_sums():
             else:
                 lam3 = sum((-1) ** g.k for g in els)
                 lam4 = sum((-1) ** g.k if g.e == 0 else (-1) ** (g.k + 1) for g in els)
-            assert _one_dim(subset) == (lam1, lam2, lam3, lam4), subset.literal()
+            assert one_dim_eigenvalues(subset) == (lam1, lam2, lam3, lam4), subset.literal()
 
 
 def test_two_dim_examples():
@@ -130,7 +126,7 @@ def test_trace_and_moment_identities_random(m):
 
 def _scalar_spectrum(s):
     """full_spectrum's values built from the scalar routes, one frequency at a time."""
-    raw = [float(v) for v in _one_dim(s)]
+    raw = [float(v) for v in one_dim_eigenvalues(s)]
     for j in range(1, s.m):
         ev = two_dim_eigenvalues(s, j)
         raw += [ev.plus, ev.minus]
@@ -227,7 +223,7 @@ def test_non_ramanujan_witness_at_covalency_l0_plus_1():
     ]
     assert witnesses
     s = witnesses[0]
-    lam2 = _one_dim(s)[1]
+    lam2 = one_dim_eigenvalues(s)[1]
     assert abs(lam2) == 11
     assert abs(lam2) > ramanujan_bound(s)
     assert not is_ramanujan(s)
@@ -272,7 +268,7 @@ def test_character_sum_error_is_under_its_stated_bound():
     m = 500
     for l in (1800, 1950, 1990):
         s = random_subset(m, l, rng, "s")
-        bound = EPS * spectra.sums_error_scale(s.m, s.size)
+        bound = EPS * spectra.sums_error_scale(s)
         with mpmath.workdps(50):
             for j in range(1, m):
                 ev = two_dim_eigenvalues(s, j)
