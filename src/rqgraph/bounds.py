@@ -69,8 +69,8 @@ def exact_safe_covalency(m: int, family: str = FAMILY_ALL) -> int:
     at l <= 2m every index set of a split's sizes generates, since
     |S| = 4m - l >= 2m and a proper subgroup holds at most 2m elements, the
     identity included, so `split_worst` is exact there; above 2m it bounds
-    the members from above, so its "safe" verdicts are sound; and for
-    m <= EXACT_SCAN_MAX_M the first non-Ramanujan split, if any, is at l <= 2m.
+    the members from above, so its "safe" verdicts are sound, and a first
+    non-Ramanujan split there raises ArithmeticError: it may be a false alarm.
     """
     if not 1 <= m <= EXACT_SCAN_MAX_M:
         raise ValueError(f"exhaustive scan needs 1 <= m <= {EXACT_SCAN_MAX_M}, got m={m}")
@@ -82,6 +82,8 @@ def exact_safe_covalency(m: int, family: str = FAMILY_ALL) -> int:
             if worst is None:
                 continue
             if not worst.ramanujan:
+                if l > 2 * m:
+                    raise ArithmeticError(f"first non-Ramanujan split ({l1}, {l2}) at m={m} is above l = 2m: not exact")
                 return last_achievable
             empty = False
         if not empty:

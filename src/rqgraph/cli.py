@@ -177,13 +177,12 @@ def load_fixture(path: str) -> dict[tuple[int, int], dict]:
 def cmd_table2(args) -> int:
     rows = _parse_rows(args.rows)
     fixture = load_fixture(args.fixture) if args.fixture else None
-    primes.check_prime_bound(args.prime_bound)
     reports = primes.scan_families(args.xmax, rows=rows)
     out_rows = []
     failures = []
     for rep in reports:
         fam = rep.family
-        density = primes.hardy_littlewood_density(fam.r, fam.c, args.prime_bound)
+        density = primes.hardy_littlewood_density(fam.r, fam.c)
         head = list(rep.first_primes) + [""] * (5 - len(rep.first_primes))
         row = dict(zip(TABLE_FIELDS, (fam.r, fam.c, fam.k_threshold, *head, rep.count, density)))
         out_rows.append(row)
@@ -209,7 +208,7 @@ def cmd_table2(args) -> int:
             "table2",
             {
                 "xmax": args.xmax,
-                "prime_bound": args.prime_bound,
+                "prime_bound": primes.PRIME_BOUND,
                 "rows": args.rows,
                 "fixture": args.fixture,
             },
@@ -250,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     t2 = sub.add_parser("table2", help="regenerate the 54-family table (CSV by default)")
     t2.add_argument("--xmax", type=int, default=10**12, help="scan family values up to x_max, 0 <= x_max <= 10^14 (default 10^12)")
-    t2.add_argument("--prime-bound", type=int, default=primes.DEFAULT_PRIME_BOUND, help="Hardy-Littlewood products over the primes up to this bound, 10^3 <= bound <= 10^8 (default 10^7)")
     t2.add_argument("--rows", default="all", help='"all" or "r,c" for a single family')
     t2.add_argument("--fixture", default=None, help="fixture CSV to diff against")
     t2.add_argument("--json", action="store_true", help="JSON envelope instead of CSV")

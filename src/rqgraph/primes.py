@@ -48,11 +48,8 @@ THRESHOLD_SCAN_HORIZON = 10_000
 # fit in int64 with room to spare.
 X_MAX_LIMIT = 10**14
 
-# Bounds the Hardy-Littlewood pass's time, which grows linearly with the
-# bound: a one-row table2 takes 1.0-1.1 s at 10^8 (2 vCPUs, python 3.11).
-PRIME_BOUND_LIMIT = 10**8
-# The product's default truncation, also table2's --prime-bound default.
-DEFAULT_PRIME_BOUND = 10**7
+# The Hardy-Littlewood products' truncation: the primes 5 <= p <= PRIME_BOUND.
+PRIME_BOUND = 10**7
 _SIEVE_SEGMENT = 1 << 18     # odd numbers per segment of the prime sieve
 
 
@@ -395,51 +392,39 @@ def _sieve_family(fam: PrimeFamily, k_min: int, x_max: int):
 
 
 @lru_cache(maxsize=None)
-def _hl_products(discriminants: tuple[int, ...], prime_bound: int) -> dict[int, float]:
-    """Product of (1 - chi_d(p)/(p-1)) over primes 5 <= p <= prime_bound, for each d.
+def _hl_products(prime_bound: int) -> dict[int, float]:
+    """Product of (1 - chi_d(p)/(p-1)) over primes 5 <= p <= prime_bound, per family d.
 
-    One pass over the sieve's segments advances every product.  chi_d(p) =
-    (d / p) has period 4|d| in p (d is 0 or 1 mod 4), so one table of Jacobi
-    symbols over a period gives it for every p, including those dividing d;
-    chi * fl(1/(p-1)) == fl(chi/(p-1)) as chi is -1, 0 or 1.  table2's golden
-    output pins the rounding order: math.prod over p <= 2|d|, times a
-    left-to-right product of the rest carried across segments as `initial`
-    (numpy's float multiply reduction is sequential: this equals one np.prod).
+    One pass over the sieve's segments advances the products of the 54
+    families' 13 reduced discriminants, all positive.  chi_d(p) = (d / p) has
+    period 4d in p (d is 0 or 1 mod 4), so one table of Jacobi symbols over a
+    period gives it for every p, including those dividing d; chi * fl(1/(p-1))
+    == fl(chi/(p-1)) as chi is -1, 0 or 1.  table2's golden output pins the
+    rounding order: a sequential product over p <= 2d times a sequential
+    product of the rest, each carried across segments as `initial`.
     """
-    tables = {d: np.array([_jacobi(d, u) if u % 2 else 0 for u in range(4 * abs(d))], float) for d in discriminants}
-    heads, tails = {d: [] for d in discriminants}, dict.fromkeys(discriminants, 1.0)
+    ds = {(r + 3) ** 2 - 16 * c for r in range(24) for c in candidate_constants(r)[1]}
+    tables = {d: np.array([_jacobi(d, u) if u % 2 else 0 for u in range(4 * d)], float) for d in ds}
+    heads, tails = dict.fromkeys(ds, 1.0), dict.fromkeys(ds, 1.0)
     for primes in _odd_prime_segments(prime_bound):
         recip = 1.0 / (primes - 1.0)
         for d, table in tables.items():
             f = 1.0 - table[primes - primes // table.size * table.size] * recip
-            n_small = int(np.searchsorted(primes, 2 * abs(d), side="right"))
-            heads[d] += f[:n_small].tolist()
+            n_small = int(np.searchsorted(primes, 2 * d, side="right"))
+            heads[d] = float(np.multiply.reduce(f[:n_small], initial=heads[d]))
             tails[d] = float(np.multiply.reduce(f[n_small:], initial=tails[d]))
-    return {d: math.prod(heads[d]) * tails[d] for d in discriminants}
+    return {d: heads[d] * tails[d] for d in ds}
 
 
-def check_prime_bound(prime_bound: int) -> None:
-    if prime_bound < 10**3:
-        raise ValueError(f"prime_bound must be >= 1000, got {prime_bound}")
-    if prime_bound > PRIME_BOUND_LIMIT:
-        raise ValueError(f"prime_bound must be <= {PRIME_BOUND_LIMIT}, got {prime_bound}")
-
-
-def hardy_littlewood_constant(r: int, c: int, prime_bound: int = DEFAULT_PRIME_BOUND) -> float:
-    """Truncated Euler product over primes 5 <= p <= prime_bound.
+def hardy_littlewood_constant(r: int, c: int) -> float:
+    """Truncated Euler product over primes 5 <= p <= PRIME_BOUND.
 
     The factors depend only on (d/p), d = (r+3)^2 - 16c, so d and 4d agree up
     to rounding (the product order depends on d).  Convergence is conditional
-    and slow; at the default bound the value is reliable to roughly two digits.
-    One pass over the sieve computes all 13 family discriminants' products per
-    bound; any other non-square d, negative ones included, joins that pass.
+    and slow; at this truncation the value is reliable to roughly two digits.
+    One pass over the sieve computes all 13 family discriminants' products.
     """
-    check_prime_bound(prime_bound)
-    d = (r + 3) ** 2 - 16 * c
-    if _is_square(d):
-        raise ValueError(f"degenerate discriminant for (r={r}, c={c}): {d} is a perfect square")
-    family_ds = {(t + 3) ** 2 - 16 * u for t in range(24) for u in candidate_constants(t)[1]}
-    return _hl_products(tuple(sorted(family_ds | {d})), prime_bound)[d]
+    return _hl_products(PRIME_BOUND)[family(r, c).reduced_discriminant]
 
 
 def density_divisor(r: int) -> int:
@@ -451,9 +436,9 @@ def density_divisor(r: int) -> int:
     return 4 if r % 2 == 0 else 2
 
 
-def hardy_littlewood_density(r: int, c: int, prime_bound: int = DEFAULT_PRIME_BOUND) -> float:
+def hardy_littlewood_density(r: int, c: int) -> float:
     """Predicted constant in front of sqrt(x)/log(x) for the family's primes."""
-    return hardy_littlewood_constant(r, c, prime_bound) / density_divisor(r)
+    return hardy_littlewood_constant(r, c) / density_divisor(r)
 
 
 # -- whole-table scans ----------------------------------------------------------

@@ -267,7 +267,7 @@ def test_reference_disputed_primes_have_non_ramanujan_witness():
 def test_criterion_09_densities_within_tolerance(table2_fixture):
     worst = ((), 0.0)
     for (r, c), ref in sorted(table2_fixture.items()):
-        delta = abs(hardy_littlewood_density(r, c, 10**7) - ref["density"])
+        delta = abs(hardy_littlewood_density(r, c) - ref["density"])
         if delta > worst[1]:
             worst = ((r, c), delta)
     ok = worst[1] <= 0.01

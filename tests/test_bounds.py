@@ -175,6 +175,20 @@ def test_exactness_lemma_of_exact_safe_covalency():
             assert first is None or first <= 2 * m, (family, m, first)
 
 
+def test_exact_safe_covalency_refuses_a_first_unsafe_split_above_2m(monkeypatch):
+    """Above l = 2m `split_worst` only bounds the members, so a first
+    non-Ramanujan split there gives no exact answer: the scan raises."""
+    split_worst = bounds.split_worst
+
+    def unsafe_above_2m(m, l1, l2):
+        worst = split_worst(m, l1, l2)
+        return None if worst is None else worst._replace(ramanujan=l1 + l2 <= 2 * m)
+
+    monkeypatch.setattr(bounds, "split_worst", unsafe_above_2m)
+    with pytest.raises(ArithmeticError, match="above l = 2m"):
+        exact_safe_covalency(5, "s")
+
+
 def _every_even_count(indices, n):
     """One n-element subset of indices per feasible count of even members."""
     evens, odds = [k for k in indices if k % 2 == 0], [k for k in indices if k % 2]

@@ -170,8 +170,6 @@ def test_table2_rejects_bad_input_before_scanning(capsys, monkeypatch, tmp_path)
     short = tmp_path / "short.csv"
     short.write_text("r,c,k_threshold\n9,7,1\n")
     for argv, error in (
-        (["--prime-bound", "5"], "prime_bound must be >= 1000, got 5"),
-        (["--prime-bound", str(10**15)], f"prime_bound must be <= {primes.PRIME_BOUND_LIMIT}, got {10**15}"),
         (["--fixture", missing], f"[Errno 2] No such file or directory: '{missing}'"),
         (["--fixture", str(short)], f"fixture {short} lacks column(s): p1, p2, p3, p4, p5, count, density"),
     ):
@@ -188,7 +186,6 @@ def test_table2_help_states_the_ranges(capsys):
     assert exit_info.value.code == 0
     text = " ".join(capsys.readouterr().out.split())
     assert "0 <= x_max <= 10^14" in text
-    assert "10^3 <= bound <= 10^8" in text
 
 
 def test_spectrum_oracle_disagreement_fails(capsys, monkeypatch):
@@ -288,7 +285,7 @@ def test_exceptional_out_of_scope(capsys):
 
 
 def test_table2_single_row_csv(capsys):
-    code, out = run(capsys, ["table2", "--rows", "9,7", "--xmax", "20000", "--prime-bound", "100000"])
+    code, out = run(capsys, ["table2", "--rows", "9,7", "--xmax", "20000"])
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0].startswith("r,c,k_threshold,p1")
@@ -297,11 +294,20 @@ def test_table2_single_row_csv(capsys):
     assert cells[3:8] == ["79", "223", "439", "727", "1087"]
 
 
+def test_table2_json_stdout_is_pinned(capsys):
+    """`rqgraph table2 --json` prints the same bytes as when this digest was
+    recorded, its `prime_bound` parameter and the row's density included."""
+    code, out = run(capsys, ["table2", "--rows", "9,7", "--xmax", "20000", "--json"])
+    assert code == 0
+    assert json.loads(out)["parameters"]["prime_bound"] == 10**7
+    assert hashlib.sha256(out.encode()).hexdigest() == "7ea3fa91d8b6b1cb3a0bf377f71a706328d34319f5e9ed2f3ec8e656d9b386a7"
+
+
 def test_table2_fixture_diff_clean_row(capsys):
     code, out = run(
         capsys,
         ["table2", "--rows", "9,7", "--xmax", str(10**12),
-         "--prime-bound", "1000000", "--fixture", FIXTURE, "--json"],
+         "--fixture", FIXTURE, "--json"],
     )
     payload = json.loads(out)
     row = payload["results"]["rows"][0]
@@ -326,7 +332,7 @@ def test_table2_fixture_diff_discrepant_row(capsys):
     code, out = run(
         capsys,
         ["table2", "--rows", "0,-5", "--xmax", str(10**12),
-         "--prime-bound", "1000000", "--fixture", FIXTURE, "--json"],
+         "--fixture", FIXTURE, "--json"],
     )
     payload = json.loads(out)
     assert code == 1
@@ -336,7 +342,7 @@ def test_table2_fixture_diff_discrepant_row(capsys):
 
 
 def test_table2_csv_failures_are_one_json_line_on_stderr(capsys):
-    argv = ["table2", "--rows", "0,-5", "--xmax", str(10**12), "--prime-bound", "1000000", "--fixture", FIXTURE]
+    argv = ["table2", "--rows", "0,-5", "--xmax", str(10**12), "--fixture", FIXTURE]
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 1
@@ -360,7 +366,7 @@ def test_table2_fixture_density_diff(capsys, tmp_path):
     code, out = run(
         capsys,
         ["table2", "--rows", "9,7", "--xmax", str(10**12),
-         "--prime-bound", "1000000", "--fixture", str(fixture), "--json"],
+         "--fixture", str(fixture), "--json"],
     )
     assert code == 1
     payload = json.loads(out)
@@ -378,7 +384,7 @@ def test_table2_window_mismatch_fails(capsys, monkeypatch):
         return [dataclasses.replace(rep, window_mismatches=1) for rep in scan(x_max, rows=rows)]
 
     monkeypatch.setattr(primes, "scan_families", mismatched)
-    code, out = run(capsys, ["table2", "--rows", "9,7", "--xmax", "20000", "--prime-bound", "100000", "--json"])
+    code, out = run(capsys, ["table2", "--rows", "9,7", "--xmax", "20000", "--json"])
     assert code == 1
     assert json.loads(out)["results"]["failures"] == [
         {"check": "window_membership", "r": 9, "c": 7, "mismatches": 1}

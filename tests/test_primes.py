@@ -11,7 +11,6 @@ from rqgraph import primes
 from rqgraph.bounds import _gap_mp, gap_error_scale, interpolated_gap, trivial_bound
 from rqgraph.spectra import TIE_TOL, at_or_below
 from rqgraph.primes import (
-    PRIME_BOUND_LIMIT,
     THRESHOLD_SCAN_HORIZON,
     all_families,
     candidate_constants,
@@ -368,22 +367,19 @@ def test_hl_constant_depends_only_on_reduced_discriminant():
     # (0,-5) and (2,-4) share (r+3)^2 - 16c = 89
     assert family(0, -5).reduced_discriminant == 89
     assert family(2, -4).reduced_discriminant == 89
-    a = hardy_littlewood_constant(0, -5, 10**5)
-    b = hardy_littlewood_constant(2, -4, 10**5)
-    assert a == b
+    assert hardy_littlewood_constant(0, -5) == hardy_littlewood_constant(2, -4)
     # d = 20 and d = 80 give the same symbol (5/p) for p >= 5; only rounding differs
     assert family(19, 29).reduced_discriminant == 20
     assert family(21, 31).reduced_discriminant == 80
     assert abs(hardy_littlewood_constant(19, 29) - hardy_littlewood_constant(21, 31)) <= 1e-12
-    with pytest.raises(ValueError):
-        hardy_littlewood_constant(1, 1, 10**5)  # square discriminant
+    for r, c in ((1, 1), (0, 1)):       # d = 0, a square; d = -7, outside the families
+        with pytest.raises(ValueError):
+            hardy_littlewood_constant(r, c)
 
 
-def test_hl_constant_rejects_prime_bound_out_of_range():
-    with pytest.raises(ValueError, match="prime_bound must be >= 1000"):
-        hardy_littlewood_constant(0, -5, 100)
-    with pytest.raises(ValueError, match=f"prime_bound must be <= {PRIME_BOUND_LIMIT}, got {PRIME_BOUND_LIMIT + 1}"):
-        hardy_littlewood_constant(0, -5, PRIME_BOUND_LIMIT + 1)
+def _hl(r, c, bound):
+    """The family's Hardy-Littlewood product truncated at bound."""
+    return primes._hl_products(bound)[family(r, c).reduced_discriminant]
 
 
 def test_hl_constant_rounding_is_pinned():
@@ -411,7 +407,7 @@ def test_hl_constant_rounding_is_pinned():
         {fam.reduced_discriminant for fam in all_families()}
     )
     for (r, c), value in expected.items():
-        assert hardy_littlewood_constant(r, c, 10**5) == float.fromhex(value), (r, c)
+        assert _hl(r, c, 10**5) == float.fromhex(value), (r, c)
 
 
 # Every reduced discriminant's product at prime_bound 10^6 (78,496 primes, so
@@ -433,7 +429,7 @@ HL_PINS_1E6 = {
 }
 
 
-# The same at the default bound 10^7 (664,579 primes, 20 sieve segments).
+# The same at PRIME_BOUND = 10^7 (664,579 primes, 20 sieve segments).
 HL_PINS_1E7 = {
     17: "0x1.92d7aae22bdd7p+0",
     20: "0x1.2ea3ffc0f5d53p+0",
@@ -458,21 +454,9 @@ def test_hl_constant_rounding_is_pinned_across_chunks():
         assert sorted(pins) == sorted({fam.reduced_discriminant for fam in all_families()})
         for fam in all_families():
             want = float.fromhex(pins[fam.reduced_discriminant])
-            assert hardy_littlewood_constant(fam.r, fam.c, bound) == want, (fam.r, fam.c, bound)
-
-
-def test_hl_constant_outside_the_families_is_pinned():
-    """Negative discriminants join the families' pass and keep their values."""
-    expected = {
-        ((0, 1), 10**5): "0x1.50a8c4e58d5efp+0",     # d = -7
-        ((0, 1), 10**6): "0x1.50b6f9aca8165p+0",
-        ((0, 5), 10**5): "0x1.1e1b9f0f85907p+0",     # d = -71
-        ((0, 5), 10**6): "0x1.1e3969b8caecep+0",
-    }
-    for ((r, c), bound), value in expected.items():
-        assert hardy_littlewood_constant(r, c, bound) == float.fromhex(value), (r, c, bound)
-    # a family discriminant is unchanged by an outside one joining its pass
-    assert hardy_littlewood_constant(0, -5, 10**6) == float.fromhex(HL_PINS_1E6[89])
+            assert _hl(fam.r, fam.c, bound) == want, (fam.r, fam.c, bound)
+    assert primes.PRIME_BOUND == 10**7
+    assert all(hardy_littlewood_constant(fam.r, fam.c) == _hl(fam.r, fam.c, 10**7) for fam in all_families())
 
 
 def test_hl_pass_memory_is_bounded():
@@ -480,7 +464,7 @@ def test_hl_pass_memory_is_bounded():
     primes._hl_products.cache_clear()
     tracemalloc.start()
     try:
-        hardy_littlewood_constant(9, 7, 10**7)
+        hardy_littlewood_constant(9, 7)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -489,7 +473,7 @@ def test_hl_pass_memory_is_bounded():
 
 
 def test_hl_constant_matches_plain_python_product_bit_for_bit():
-    """math.prod over p <= 2|d| times math.prod over the rest, without numpy."""
+    """math.prod over p <= 2d times math.prod over the rest, without numpy."""
     bound = 10**6
     sieve = bytearray([1]) * (bound + 1)
     for q in range(2, math.isqrt(bound) + 1):
@@ -499,9 +483,9 @@ def test_hl_constant_matches_plain_python_product_bit_for_bit():
     for (r, c) in ((0, -5), (3, 1)):                      # d = 89 and 20
         d = (r + 3) ** 2 - 16 * c
         factors = [1.0 - legendre_symbol(d, p) / (p - 1) for p in plain]
-        n_small = sum(p <= 2 * abs(d) for p in plain)
+        n_small = sum(p <= 2 * d for p in plain)
         direct = math.prod(factors[:n_small]) * math.prod(factors[n_small:])
-        assert hardy_littlewood_constant(r, c, bound) == direct, (r, c)
+        assert _hl(r, c, bound) == direct, (r, c)
         assert direct == float.fromhex(HL_PINS_1E6[d])
 
 
@@ -534,13 +518,13 @@ def test_hl_constant_against_direct_product():
             chi = legendre_symbol(d, p)
             if chi:
                 direct *= 1.0 - chi / (p - 1)
-        assert hardy_littlewood_constant(r, c, bound) == pytest.approx(direct, abs=1e-12)
+        assert _hl(r, c, bound) == pytest.approx(direct, abs=1e-12)
 
 
 def test_hl_density_examples(table2_fixture):
     assert density_divisor(0) == 4 and density_divisor(1) == 2
-    assert hardy_littlewood_density(1, -1, 10**6) == pytest.approx(0.61666, abs=0.01)
-    assert hardy_littlewood_density(0, -4, 10**6) == pytest.approx(0.45086, abs=0.01)
+    assert hardy_littlewood_density(1, -1) == pytest.approx(0.61666, abs=0.01)
+    assert hardy_littlewood_density(0, -4) == pytest.approx(0.45086, abs=0.01)
     # identical reduced discriminants show identical densities in the fixture
     assert table2_fixture[(0, -5)]["density"] == table2_fixture[(2, -4)]["density"]
 
