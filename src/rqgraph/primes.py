@@ -27,7 +27,7 @@ from .spectra import at_or_below, tie_window
 # odd n below the limit, by the size of n (Pomerance, Selfridge and Wagstaff
 # 1980; Jaeschke, Math. Comp. 61, 1993; Sinclair's seven bases up to 2^64).
 # Each limit is itself a strong pseudoprime to its row's witnesses, and every
-# witness is below the smallest n that reaches its row (n >= 3844 there).
+# witness is below the smallest n that reaches its row (n >= 66,049 there).
 _MR_ROWS = (
     (1_373_653, (2, 3)),
     (4_759_123_141, (2, 7, 61)),
@@ -36,8 +36,10 @@ _MR_ROWS = (
 )
 _MR_LIMIT = _MR_ROWS[-1][0]
 
-# The odd primes up to 61; a single gcd with their product screens most composites.
-_SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+# The 53 odd primes below 256; one gcd with their product decides every odd n < 257^2.
+_SMALL_PRIMES = frozenset({3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
+                           101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191,
+                           193, 197, 199, 211, 223, 227, 229, 233, 239, 241, 251})
 _SMALL_PRIME_PRODUCT = math.prod(_SMALL_PRIMES)
 
 THRESHOLD_SCAN_HORIZON = 10_000
@@ -74,17 +76,15 @@ class FamilyReport:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, correct for all n < 2^64; ValueError from 2^64 on."""
+    """Exact: one gcd with the odd primes below 256 for n < 257^2, Miller-Rabin below 2^64, else ValueError."""
     if n < 2:
         return False
     if n >= _MR_LIMIT:
         raise ValueError(f"primality is proven only below 2^64, got {n}")
     if n % 2 == 0:
         return n == 2
-    if n < 3844:                        # 62^2: gcd screen is complete here
-        return math.gcd(n, _SMALL_PRIME_PRODUCT) == 1 or n in _SMALL_PRIMES
-    if math.gcd(n, _SMALL_PRIME_PRODUCT) != 1:
-        return False
+    if (g := math.gcd(n, _SMALL_PRIME_PRODUCT)) != 1 or n < 257 ** 2:    # the screen is complete here
+        return g == 1 or n in _SMALL_PRIMES
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s

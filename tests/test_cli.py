@@ -145,6 +145,7 @@ def test_cli_bad_input_is_a_clean_error(capsys):
         ["spectrum", "--subset", "m=2;pairs=;delta=0;ypairs="],             # no non-trivial eigenvalue
         ["exceptional", "--p", str(2**64 + 13)],        # prime, but above the proven Miller-Rabin range
         *(["exceptional", "--p", p] for p in ("4", "-7", "63", "2")),   # not an odd prime, below 67
+        ["exceptional", "--p", "66049"],        # 257^2, the first odd composite the gcd screen passes to Miller-Rabin
         ["table2", "--rows", "9,7", "--xmax", "-10"],
         ["table2", "--rows", "9,7", "--xmax", str(10**14 + 1)],    # above the sieve's limit
         ["table2", "--rows", "9"],
@@ -276,6 +277,10 @@ def test_exceptional_both_routes(capsys):
     res = json.loads(out)["results"]
     assert res["verdicts"]["spectral"]["exceptional"] is False
     assert res["verdicts"]["arithmetic"]["exceptional"] is False
+
+    code, out = run(capsys, ["exceptional", "--p", "65537"])       # prime, decided by the gcd screen
+    assert code == 0
+    assert json.loads(out)["results"]["routes_agree"] is True
 
 
 def test_exceptional_out_of_scope(capsys):

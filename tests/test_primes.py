@@ -32,9 +32,15 @@ SMALL_PRIMES = [p for p in range(2, 3000) if all(p % q for q in range(2, p))]
 
 
 def test_is_prime_small_range():
-    small = set(SMALL_PRIMES)
-    for n in range(-3, 3000):
-        assert is_prime(n) == (n in small), n
+    """Every n in [-3, 257^2], where the gcd screen decides all but 257^2, by trial division."""
+    top = 257**2
+    for n in range(-3, top + 1):
+        assert is_prime(n) == (n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))), n
+    for n in (251, 257, 65_521, 65_537):
+        assert is_prime(n), n
+    for n in (253, 64_507):                         # 11 * 23, 251 * 257
+        assert not is_prime(n), n
+    assert math.gcd(top, primes._SMALL_PRIME_PRODUCT) == 1 and not is_prime(top)   # Miller-Rabin rejects it
 
 
 def test_is_prime_examples():
@@ -54,14 +60,15 @@ def test_is_prime_examples():
 
 
 def test_is_prime_matches_a_sieve_past_the_gcd_screen():
-    """Every odd n in [3844, 2e5], where Miller-Rabin decides, against a numpy sieve."""
-    top = 200_000
-    sieve = np.ones(top + 1, dtype=bool)
-    sieve[:2] = False
-    for q in range(2, math.isqrt(top) + 1):
-        if sieve[q]:
-            sieve[q * q::q] = False
-    for n in range(3845, top + 1, 2):
+    """Every odd n in [257^2, 6e5], where Miller-Rabin decides, against the segmented sieve.
+
+    The range crosses the sieve's first segment boundary, at n = 2^19 + 1.
+    """
+    top = 600_000
+    assert 2 * primes._SIEVE_SEGMENT < top
+    sieve = np.zeros(top + 1, dtype=bool)
+    sieve[primes._odd_primes_from_5(top)] = True
+    for n in range(257**2, top + 1, 2):
         assert is_prime(n) == sieve[n], n
 
 
@@ -69,7 +76,7 @@ def test_is_prime_rejects_each_witness_row_limit():
     """Each witness row's limit is composite and a strong pseudoprime to that
     row's witnesses, so only the next row's witnesses reject it."""
     for limit in (1_373_653, 4_759_123_141, 1_122_004_669_633):
-        assert all(limit % q for q in SMALL_PRIMES if q <= 61)   # past the gcd screen
+        assert math.gcd(limit, primes._SMALL_PRIME_PRODUCT) == 1   # past the gcd screen
         assert not is_prime(limit), limit
 
 
