@@ -117,7 +117,8 @@ def split_worst(m: int, l1: int, l2: int) -> Optional[SplitWorst]:
     def exact_margin():
         import mpmath
 
-        near = [_extremes(mpmath, m, j) for j, peak in peaks.items() if peak >= worst - spectra.tie_window(scale)]
+        # each double peak is off by up to EPS * scale, worst too: the exact argmax is within twice that
+        near = [_extremes(mpmath, m, j) for j, peak in peaks.items() if peak >= worst - 2 * spectra.EPS * scale]
         return max(zs[delta][n_pairs] + arcs[n_ypairs] for zs, arcs in near) - 2 * mpmath.sqrt(size - 1)
 
     ramanujan &= spectra.at_or_below(worst - spectra.ramanujan_bound(subsets[0]), scale, exact_margin)
@@ -273,11 +274,6 @@ def _gap_arguments(r, c, k):
     if np.any((k < 1) | (k > _MAX_GAP_K)):
         raise ValueError(f"k must be in [1, {_MAX_GAP_K}], got {k}")
     return 36 * k * k + 3 * (r + 3) * k + c, 24 * k + r + 1
-
-
-def _gap_mp(r: int, c: int, k: int):
-    """The interpolated gap at a scalar k as an mpf, at mpmath's working precision."""
-    return _gap_at_mp(*(int(v) for v in _gap_arguments(r, c, k)))
 
 
 def _gap_at_mp(n: int, l: int):

@@ -19,9 +19,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bounds import MIN_EXCEPTIONAL_PRIME, ExceptionalVerdict, _check_scope, _gap, _gap_arguments, _gap_mp
+from .bounds import MIN_EXCEPTIONAL_PRIME, ExceptionalVerdict, _check_scope, _gap, _gap_arguments, _gap_at_mp
 from .bounds import gap_error_scale, trivial_bound
-from .spectra import at_or_below, tie_window
+from .spectra import EPS, at_or_below
 
 # (limit, witnesses): strong-pseudoprime witnesses proving primality for every
 # odd n below the limit, by the size of n (Pomerance, Selfridge and Wagstaff
@@ -171,8 +171,8 @@ def derive_k_threshold(r: int, c: int) -> int:
     The classification claims the condition then persists for every larger k;
     that monotone switch is verified up to a fixed horizon and an
     inconsistency raises (it would mean either a bug or a broken premise).
-    Gaps inside the near-tie window go through `spectra.at_or_below`, with
-    the error scale of the largest f(k) in the scan.
+    Gaps within EPS * scale of 0 go through `spectra.at_or_below`, with
+    scale the error scale of the largest f(k) in the scan.
     """
     _, allowed = candidate_constants(r)
     if c not in allowed:
@@ -182,8 +182,8 @@ def derive_k_threshold(r: int, c: int) -> int:
     gap = _gap(np, values, l)      # interpolated_gap(r, c, ks), with f(k) kept
     scale = gap_error_scale(int(values[-1]))
     holds = gap <= 0
-    for i in np.flatnonzero(np.abs(gap) < tie_window(scale)).tolist():
-        holds[i] = at_or_below(float(gap[i]), scale, lambda: _gap_mp(r, c, i + 1))
+    for i in np.flatnonzero(np.abs(gap) < EPS * scale).tolist():
+        holds[i] = at_or_below(float(gap[i]), scale, lambda: _gap_at_mp(int(values[i]), int(l[i])))
     holds &= values >= MIN_EXCEPTIONAL_PRIME
     if not holds.any():
         raise ArithmeticError(f"no threshold found for (r={r}, c={c}) within the horizon")

@@ -20,8 +20,6 @@ import numpy as np
 from .subsets import CayleySubset
 
 # The near-tie rule, `at_or_below`.
-NEAR_TIE_MARGIN = 1e-6
-TIE_TOL = 1e-30
 _MP_DPS = 50
 EPS = sys.float_info.epsilon
 DECISION_TOL = 1e-9
@@ -243,35 +241,29 @@ def ramanujan_bound(subset: CayleySubset) -> float:
     return 2.0 * math.sqrt(subset.size - 1)
 
 
-def tie_window(scale: float) -> float:
-    """Half-width of the near-tie window for a margin of error scale `scale`."""
-    return max(NEAR_TIE_MARGIN, EPS * scale)
-
-
 def at_or_below(margin: float, scale: float, exact_margin) -> bool:
     """The one near-tie rule: is `margin` (value minus bound) at or below 0?
 
-    EPS * scale bounds the forward error of the double `margin`.  Outside
-    tie_window(scale) the double decides; inside, `exact_margin()` at _MP_DPS
-    digits decides by its own mpf value, a margin up to TIE_TOL being a tie.
-    mpmath is imported there, at the first near tie, so a process that meets
-    none never loads it.  Exact ties occur (lambda = 10 = 2 sqrt(25) at
-    m = 9, mpf margin +2e-50), and a bare `<= 0` would put them above.  The
-    callers' scales:
+    EPS * scale bounds the forward error of the double `margin`, which
+    decides when |margin| >= EPS * scale; inside, `exact_margin()` at _MP_DPS
+    digits decides by its own mpf value, a margin up to mp.eps * scale (the
+    same bound at the working precision) being a tie.  mpmath is imported
+    there, at the first near tie, so a process that meets none never loads
+    it.  Exact ties occur (lambda = 10 = 2 sqrt(25) at m = 9, mpf margin
+    +2e-50), and a bare `<= 0` would put them above.  The callers' scales:
       * character sums (`sums_error_scale`): |S| (2 pi m + 4).  Angles
         pi j k / m < pi m take <= 4 roundings, so each of the <= |S| / 2 terms
         of z_j +- |w_j| is off by 4 pi m EPS + 1 ulp; the rest adds ulps of |S|;
       * closed-form gap (`bounds.gap_error_scale`): 64 sqrt(t).  Both sides
         are about 4 sqrt(t) after a dozen roundings of up to 4 ulps (numpy sin).
     Measured, the gap's error reaches 6.5 EPS sqrt(t) (4e-7 at t near 1e17).
-    The window passes 1e-6 only for m |S| above 7e8 or t above 5e15.
     """
-    if abs(margin) >= tie_window(scale):
+    if abs(margin) >= EPS * scale:
         return margin <= 0
     import mpmath
 
     with mpmath.workdps(_MP_DPS):
-        return bool(exact_margin() <= TIE_TOL)
+        return bool(exact_margin() <= mpmath.mp.eps * scale)
 
 
 def sums_error_scale(subset: CayleySubset) -> float:

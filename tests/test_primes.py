@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from rqgraph import primes
-from rqgraph.bounds import _gap_mp, gap_error_scale, interpolated_gap, trivial_bound
-from rqgraph.spectra import TIE_TOL, at_or_below
+from rqgraph.bounds import _gap_arguments, _gap_at_mp, gap_error_scale, interpolated_gap, trivial_bound
+from rqgraph.spectra import EPS, at_or_below
 from rqgraph.primes import (
     THRESHOLD_SCAN_HORIZON,
     all_families,
@@ -152,6 +152,11 @@ def test_irreducibility_filter_details():
     assert 1 not in allowed1
 
 
+def _gap_mp(r, c, k):
+    """The interpolated gap at one k as an mpf, at mpmath's working precision."""
+    return _gap_at_mp(*(int(v) for v in _gap_arguments(r, c, k)))
+
+
 def _gap_at_or_below(r, c, k, scale):
     """The near-tie rule on the interpolated gap at one k."""
     return at_or_below(interpolated_gap(r, c, k), scale, lambda: _gap_mp(r, c, k))
@@ -244,28 +249,35 @@ def test_threshold_premise_checks_still_raise(monkeypatch):
 
 
 def test_threshold_near_zero_gap_is_decided_in_mpmath(monkeypatch):
-    """A gap inside the near-tie window is decided by the mpf, not by its
-    double; gaps outside the window (2e-6 here) never reach mpmath."""
-    fake = _fake_gap({1: 1.0, 2: 2e-6, 3: 1e-12, 5: -2e-6})
+    """A gap within EPS * scale of 0 is decided by the mpf, not by its double;
+    gaps from EPS * scale on never reach mpmath.  The mpf at (t, l) is asked
+    for k = l // 24, as in _fake_gap."""
+    window = EPS * _scan_scale(6, 4)                 # about 8.5e-10
+    fake = _fake_gap({1: 1.0, 2: window, 3: window / 2, 5: -window})
     monkeypatch.setattr(primes, "_gap", fake)
     escalated = []
 
-    def mp_gap(r, c, k):
-        escalated.append(k)
-        return mpmath.mpf(-1) if k == 3 else mpmath.mpf(1)
+    def mp_gap(t, l):
+        escalated.append(l // 24)
+        return mpmath.mpf(-1) if l // 24 == 3 else mpmath.mpf(1)
 
-    monkeypatch.setattr(primes, "_gap_mp", mp_gap)
+    monkeypatch.setattr(primes, "_gap_at_mp", mp_gap)
     assert derive_k_threshold(6, 4) == 3
     assert escalated == [3]
-    fake = _fake_gap({1: 1.0, 2: 1.0, 4: -1e-12})
+    fake = _fake_gap({1: 1.0, 2: 1.0, 4: -window / 2})
     monkeypatch.setattr(primes, "_gap", fake)
     with pytest.raises(ArithmeticError, match="broke at k=4 after first holding at k=3"):
         derive_k_threshold(6, 4)
     assert escalated == [3, 4]
-    # decided on the mpf: just above TIE_TOL is above, though its double is not
-    fake = _fake_gap({1: 1.0, 2: 1.0, 3: 1.0, 4: 1e-12})
-    monkeypatch.setattr(primes, "_gap", fake)
-    monkeypatch.setattr(primes, "_gap_mp", lambda r, c, k: mpmath.mpf(TIE_TOL) + mpmath.mpf("1e-55"))
+    # decided on the mpf: a tie, up to mp.eps * scale, is at or below; just above it is above
+    def tie_at_3(t, l):
+        """mp.eps * scale at k = 3, and just above it elsewhere, though its double is the same."""
+        return mpmath.mp.eps * _scan_scale(6, 4) * (1 if l // 24 == 3 else mpmath.mpf("1.00000000000000000001"))
+
+    monkeypatch.setattr(primes, "_gap_at_mp", tie_at_3)
+    monkeypatch.setattr(primes, "_gap", _fake_gap({1: 1.0, 2: 1.0, 3: window / 2}))
+    assert derive_k_threshold(6, 4) == 3
+    monkeypatch.setattr(primes, "_gap", _fake_gap({1: 1.0, 2: 1.0, 3: 1.0, 4: window / 2}))
     assert derive_k_threshold(6, 4) == 5
 
 

@@ -8,7 +8,6 @@ import pytest
 from rqgraph import spectra
 from rqgraph.spectra import (
     EPS,
-    TIE_TOL,
     at_or_below,
     full_spectrum,
     is_ramanujan,
@@ -292,7 +291,7 @@ def test_exact_tie_is_ramanujan():
     assert (s.size, s.covalency()) == (26, 10)
     with mpmath.workdps(50):
         exact = spectra._margin_mp(s)
-    assert 0 < exact <= TIE_TOL
+        assert 0 < exact <= mpmath.mp.eps * spectra.sums_error_scale(s)
     assert is_ramanujan(s)
     dense = np.array(symmetric_eigenvalues(adjacency_matrix(s)))
     interior = dense[np.abs(np.abs(dense) - s.size) > 1e-9]
@@ -300,29 +299,33 @@ def test_exact_tie_is_ramanujan():
 
 
 def test_near_tie_rule_decides_on_the_mpf():
-    """Inside the window the mpf decides, by its own value and not its double;
-    outside it the double decides and mpmath is never called."""
+    """Within EPS * scale the mpf decides, by its own value and not its double,
+    a margin up to mp.eps * scale being a tie; from EPS * scale on the double
+    decides and mpmath is never called."""
     seen = []
 
-    def exact(value):
+    def exact(times_tie):
+        """A thunk for the mpf margin times_tie * mp.eps * scale, as at_or_below calls it."""
         def thunk():
             seen.append(mpmath.mp.dps)
-            return mpmath.mpf(value)
+            return mpmath.mpf(times_tie) * mpmath.mp.eps * scale
         return thunk
 
-    with mpmath.workdps(50):
-        just_above = mpmath.mpf(TIE_TOL) + mpmath.mpf("1e-55")   # its double is TIE_TOL
-    assert float(just_above) <= TIE_TOL
-    assert not at_or_below(1e-12, 1.0, lambda: just_above)
-    assert at_or_below(1e-12, 1.0, exact("-1e-400"))            # its double is -0.0
-    assert at_or_below(-1e-12, 1.0, exact("1e-40"))            # a tie
-    assert not at_or_below(-1e-12, 1.0, exact("1e-20"))
-    assert seen == [spectra._MP_DPS] * 3
-    assert at_or_below(-2e-6, 1.0, exact("1"))                  # outside: the double decides
-    assert not at_or_below(2e-6, 1.0, exact("-1"))
-    assert seen == [spectra._MP_DPS] * 3
-    # the window widens with the error scale: EPS * 1e11 is about 2.2e-5
-    assert spectra.tie_window(1.0) == spectra.NEAR_TIE_MARGIN
-    assert spectra.tie_window(1e11) == EPS * 1e11
-    assert at_or_below(1e-5, 1e11, exact("-1"))
-    assert len(seen) == 4
+    scale = 1e4
+    window = EPS * scale                                     # about 2.2e-12; mp.eps * scale is about 2.7e-47
+    assert at_or_below(window / 2, scale, exact(1))          # a tie
+    assert not at_or_below(window / 2, scale, exact("1.00000000000000000001"))    # its double is the tie's
+    assert at_or_below(-window / 2, scale, exact(-1e30))
+    assert not at_or_below(math.nextafter(-window, 0), scale, exact(1e30))
+    assert at_or_below(1e-14, scale, exact("-1e-400"))       # its double is -0.0
+    assert seen == [spectra._MP_DPS] * 5
+    assert at_or_below(-window, scale, exact(1e30))          # from EPS * scale on: the double decides
+    assert not at_or_below(window, scale, exact(-1e30))
+    assert len(seen) == 5
+    # the window scales with the error scale: |margin| = 2.2e-12 is near at 1e5, not at 1e3
+    scale = 1e5
+    assert at_or_below(window, scale, exact(-1e30))
+    assert len(seen) == 6
+    scale = 1e3
+    assert not at_or_below(window, scale, exact(-1e30))
+    assert len(seen) == 6
