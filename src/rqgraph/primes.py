@@ -50,9 +50,9 @@ THRESHOLD_SCAN_HORIZON = 10_000
 # fit in int64 with room to spare.
 X_MAX_LIMIT = 10**14
 
-# The Hardy-Littlewood products' truncation: the primes 5 <= p <= PRIME_BOUND.
+# The truncation of the pinned Hardy-Littlewood products `_HL_PRODUCTS`: the
+# primes 5 <= p <= PRIME_BOUND.  table2's JSON reports it.
 PRIME_BOUND = 10**7
-_SIEVE_SEGMENT = 1 << 18     # odd numbers per segment of the prime sieve
 
 
 @dataclass(frozen=True)
@@ -263,29 +263,14 @@ def _check_x_max(x_max: int) -> None:
 # -- the family sieve -----------------------------------------------------------
 
 
-def _odd_prime_segments(bound: int):
-    """The primes 5 <= p <= bound, ascending, one int64 array per segment of odd numbers.
-
-    Entry i stands for 2i + 1.  A segment is struck by the odd primes q <=
-    sqrt(bound) of earlier segments, then by its own from q^2 on.
-    """
-    n_odd, root, base = (bound + 1) // 2, math.isqrt(bound), []      # base: the odd primes <= root so far
-    for lo in range(0, n_odd, _SIEVE_SEGMENT):
-        seg = np.ones(min(_SIEVE_SEGMENT, n_odd - lo), dtype=bool)
-        for q in base:
-            seg[((q - 1) // 2 - lo) % q :: q] = False       # entry (q - 1) / 2 + t q is q (2t + 1)
-        for i in range(max(lo, 1), min(lo + seg.size, (root + 1) // 2)):
-            if seg[i - lo]:
-                seg[2 * i * (i + 1) - lo :: 2 * i + 1] = False      # from (2i + 1)^2
-                base.append(2 * i + 1)
-        if lo == 0:
-            seg[:2] = False         # 1 and 3
-        yield 2 * (np.flatnonzero(seg) + lo) + 1
-
-
 def _odd_primes_from_5(bound: int):
-    """The primes 5 <= p <= bound, ascending: the sieve's segments joined."""
-    return np.concatenate([np.empty(0, dtype=np.int64), *_odd_prime_segments(bound)])
+    """The primes 5 <= p <= bound, ascending, as int64: a sieve of the odd numbers, entry i for 2i + 1."""
+    sieve = np.ones((bound + 1) // 2, dtype=bool)
+    for i in range(1, (math.isqrt(bound) + 1) // 2):
+        if sieve[i]:
+            sieve[2 * i * (i + 1) :: 2 * i + 1] = False      # from (2i + 1)^2
+    sieve[:2] = False       # 1 and 3
+    return 2 * np.flatnonzero(sieve) + 1
 
 
 def _powmod(base, exp, q):
@@ -391,40 +376,36 @@ def _sieve_family(fam: PrimeFamily, k_min: int, x_max: int):
 # -- Hardy-Littlewood constants ------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _hl_products(prime_bound: int) -> dict[int, float]:
-    """Product of (1 - chi_d(p)/(p-1)) over primes 5 <= p <= prime_bound, per family d.
-
-    One pass over the sieve's segments advances the products of the 54
-    families' 13 reduced discriminants, all positive.  chi_d(p) = (d / p) has
-    period 4d in p (d is 0 or 1 mod 4), so one table of Jacobi symbols over a
-    period gives it for every p, including those dividing d; chi * fl(1/(p-1))
-    == fl(chi/(p-1)) as chi is -1, 0 or 1.  table2's golden output pins the
-    rounding order: a sequential product over p <= 2d times a sequential
-    product of the rest, each carried across segments as `initial`.
-    """
-    ds = {(r + 3) ** 2 - 16 * c for r in range(24) for c in candidate_constants(r)[1]}
-    tables = {d: np.array([_jacobi(d, u) if u % 2 else 0 for u in range(4 * d)], float) for d in ds}
-    heads, tails = dict.fromkeys(ds, 1.0), dict.fromkeys(ds, 1.0)
-    for primes in _odd_prime_segments(prime_bound):
-        recip = 1.0 / (primes - 1.0)
-        for d, table in tables.items():
-            f = 1.0 - table[primes - primes // table.size * table.size] * recip
-            n_small = int(np.searchsorted(primes, 2 * d, side="right"))
-            heads[d] = float(np.multiply.reduce(f[:n_small], initial=heads[d]))
-            tails[d] = float(np.multiply.reduce(f[n_small:], initial=tails[d]))
-    return {d: heads[d] * tails[d] for d in ds}
+# Product of (1 - chi_d(p)/(p-1)) over the primes 5 <= p <= PRIME_BOUND, for
+# each of the 54 families' 13 reduced discriminants d, chi_d(p) = (d / p).
+# Rounded as a sequential product over p <= 2d times a sequential product of
+# the rest; the tests recompute every value bit for bit.
+_HL_PRODUCTS = {
+    17: float.fromhex("0x1.92d7aae22bdd7p+0"),
+    20: float.fromhex("0x1.2ea3ffc0f5d53p+0"),
+    32: float.fromhex("0x1.3bbc38563fdcap+0"),
+    33: float.fromhex("0x1.9a7ab373ed75fp+0"),
+    41: float.fromhex("0x1.1ffe36cc27b2dp+0"),
+    48: float.fromhex("0x1.6225855d1c4a0p+0"),
+    52: float.fromhex("0x1.9d4c3361be67bp+0"),
+    57: float.fromhex("0x1.5d441dd588ca9p+0"),
+    65: float.fromhex("0x1.1369d2f57fed3p+0"),
+    73: float.fromhex("0x1.cdaa517156272p+0"),
+    80: float.fromhex("0x1.2ea3ffc0f5b73p+0"),
+    84: float.fromhex("0x1.db101c4029fc8p-1"),
+    89: float.fromhex("0x1.f5c87d15b469dp-1"),
+}
 
 
 def hardy_littlewood_constant(r: int, c: int) -> float:
-    """Truncated Euler product over primes 5 <= p <= PRIME_BOUND.
+    """Truncated Euler product over primes 5 <= p <= PRIME_BOUND, read from `_HL_PRODUCTS`.
 
     The factors depend only on (d/p), d = (r+3)^2 - 16c, so d and 4d agree up
     to rounding (the product order depends on d).  Convergence is conditional
     and slow; at this truncation the value is reliable to roughly two digits.
-    One pass over the sieve computes all 13 family discriminants' products.
+    ValueError for an (r, c) outside the 54 families.
     """
-    return _hl_products(PRIME_BOUND)[family(r, c).reduced_discriminant]
+    return _HL_PRODUCTS[family(r, c).reduced_discriminant]
 
 
 def density_divisor(r: int) -> int:

@@ -1,7 +1,7 @@
 import bisect
+import functools
 import math
 import random
-import tracemalloc
 
 import mpmath
 import numpy as np
@@ -60,12 +60,8 @@ def test_is_prime_examples():
 
 
 def test_is_prime_matches_a_sieve_past_the_gcd_screen():
-    """Every odd n in [257^2, 6e5], where Miller-Rabin decides, against the segmented sieve.
-
-    The range crosses the sieve's first segment boundary, at n = 2^19 + 1.
-    """
+    """Every odd n in [257^2, 6e5], where Miller-Rabin decides, against the odd-number sieve."""
     top = 600_000
-    assert 2 * primes._SIEVE_SEGMENT < top
     sieve = np.zeros(top + 1, dtype=bool)
     sieve[primes._odd_primes_from_5(top)] = True
     for n in range(257**2, top + 1, 2):
@@ -396,9 +392,30 @@ def test_hl_constant_depends_only_on_reduced_discriminant():
             hardy_littlewood_constant(r, c)
 
 
+@functools.lru_cache(maxsize=None)
+def _hl_products(bound):
+    """Product of (1 - chi_d(p)/(p-1)) over primes 5 <= p <= bound, per family d.
+
+    The reference `primes._HL_PRODUCTS` is checked against.  chi_d(p) = (d / p)
+    has period 4d in p (d is 0 or 1 mod 4), so one table of Jacobi symbols over
+    a period gives it for every p, including those dividing d; chi * fl(1/(p-1))
+    == fl(chi/(p-1)) as chi is -1, 0 or 1.  The rounding order is the table's:
+    a sequential product over p <= 2d times a sequential product of the rest.
+    """
+    p = primes._odd_primes_from_5(bound)
+    recip = 1.0 / (p - 1.0)
+    out = {}
+    for d in {fam.reduced_discriminant for fam in all_families()}:
+        table = np.array([primes._jacobi(d, u) if u % 2 else 0 for u in range(4 * d)], float)
+        f = 1.0 - table[p % table.size] * recip
+        n_small = int(np.searchsorted(p, 2 * d, side="right"))
+        out[d] = float(np.multiply.reduce(f[:n_small])) * float(np.multiply.reduce(f[n_small:]))
+    return out
+
+
 def _hl(r, c, bound):
     """The family's Hardy-Littlewood product truncated at bound."""
-    return primes._hl_products(bound)[family(r, c).reduced_discriminant]
+    return _hl_products(bound)[family(r, c).reduced_discriminant]
 
 
 def test_hl_constant_rounding_is_pinned():
@@ -429,8 +446,7 @@ def test_hl_constant_rounding_is_pinned():
         assert _hl(r, c, 10**5) == float.fromhex(value), (r, c)
 
 
-# Every reduced discriminant's product at prime_bound 10^6 (78,496 primes, so
-# the tail crosses chunk boundaries), as the one-pass np.prod tail gave it.
+# Every reduced discriminant's product at prime_bound 10^6 (78,496 primes).
 HL_PINS_1E6 = {
     17: "0x1.92dd8c05d5155p+0",
     20: "0x1.2e9f52d29097ap+0",
@@ -448,47 +464,31 @@ HL_PINS_1E6 = {
 }
 
 
-# The same at PRIME_BOUND = 10^7 (664,579 primes, 20 sieve segments).
-HL_PINS_1E7 = {
-    17: "0x1.92d7aae22bdd7p+0",
-    20: "0x1.2ea3ffc0f5d53p+0",
-    32: "0x1.3bbc38563fdcap+0",
-    33: "0x1.9a7ab373ed75fp+0",
-    41: "0x1.1ffe36cc27b2dp+0",
-    48: "0x1.6225855d1c4a0p+0",
-    52: "0x1.9d4c3361be67bp+0",
-    57: "0x1.5d441dd588ca9p+0",
-    65: "0x1.1369d2f57fed3p+0",
-    73: "0x1.cdaa517156272p+0",
-    80: "0x1.2ea3ffc0f5b73p+0",
-    84: "0x1.db101c4029fc8p-1",
-    89: "0x1.f5c87d15b469dp-1",
-}
-
-
-def test_hl_constant_rounding_is_pinned_across_chunks():
-    """The tail is carried across sieve segments without changing a bit."""
-    assert len(list(primes._odd_prime_segments(10**6))) >= 2
-    for pins, bound in ((HL_PINS_1E6, 10**6), (HL_PINS_1E7, 10**7)):
-        assert sorted(pins) == sorted({fam.reduced_discriminant for fam in all_families()})
-        for fam in all_families():
-            want = float.fromhex(pins[fam.reduced_discriminant])
-            assert _hl(fam.r, fam.c, bound) == want, (fam.r, fam.c, bound)
+def test_hl_table_is_the_reference_product_bit_for_bit():
+    """The pinned table holds the reference products at PRIME_BOUND, one per family discriminant."""
+    ds = {fam.reduced_discriminant for fam in all_families()}
+    assert sorted(HL_PINS_1E6) == sorted(ds)
+    for fam in all_families():
+        assert _hl(fam.r, fam.c, 10**6) == float.fromhex(HL_PINS_1E6[fam.reduced_discriminant]), (fam.r, fam.c)
     assert primes.PRIME_BOUND == 10**7
-    assert all(hardy_littlewood_constant(fam.r, fam.c) == _hl(fam.r, fam.c, 10**7) for fam in all_families())
+    assert set(primes._HL_PRODUCTS) == ds
+    want = _hl_products(primes.PRIME_BOUND)
+    assert {d: v.hex() for d, v in primes._HL_PRODUCTS.items()} == {d: v.hex() for d, v in want.items()}
+    assert all(hardy_littlewood_constant(fam.r, fam.c) == want[fam.reduced_discriminant] for fam in all_families())
 
 
-def test_hl_pass_memory_is_bounded():
-    """The whole pass at 10^7 holds one sieve segment at a time and keeps only the products."""
-    primes._hl_products.cache_clear()
-    tracemalloc.start()
-    try:
-        hardy_littlewood_constant(9, 7)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4_000_000, peak
-    assert held < 500_000, held
+def test_hl_density_needs_no_prime_sieve(monkeypatch):
+    """table2's densities come from the table: neither the prime sieve nor numpy runs for them."""
+    fams = all_families()
+
+    def refuse(bound):
+        raise AssertionError(f"prime sieve to {bound} called")
+
+    monkeypatch.setattr(primes, "_odd_primes_from_5", refuse)
+    monkeypatch.setattr(primes, "np", None)
+    for fam in fams:
+        want = primes._HL_PRODUCTS[fam.reduced_discriminant] / density_divisor(fam.r)
+        assert hardy_littlewood_density(fam.r, fam.c) == want, (fam.r, fam.c)
 
 
 def test_hl_constant_matches_plain_python_product_bit_for_bit():
@@ -508,20 +508,14 @@ def test_hl_constant_matches_plain_python_product_bit_for_bit():
         assert direct == float.fromhex(HL_PINS_1E6[d])
 
 
-def test_odd_prime_sieve_matches_miller_rabin(monkeypatch):
-    edges = [2 * k * primes._SIEVE_SEGMENT + e for k in (1, 2) for e in (-1, 0, 1, 2)]
-    assert edges[0] < 1021**2 < edges[4]               # 1021^2 falls in the second segment
+def test_odd_prime_sieve_matches_miller_rabin():
     bounds = list(range(401)) + [q * q + e for q in (5, 7, 11, 31, 1021) for e in (-1, 0, 1)]
-    bounds += [10**4 + 7, 10**6] + edges
+    bounds += [10**4 + 7, 10**6] + [(k << 19) + e for k in (1, 2) for e in (-1, 0, 1, 2)]
     want = [p for p in range(5, max(bounds) + 1, 2) if is_prime(p)]
     for b in bounds:
         got = primes._odd_primes_from_5(b)
         assert got.dtype == np.int64, b
         assert got.tolist() == want[: bisect.bisect_right(want, b)], b
-    # segments of 8 odd numbers: most sieving primes come from earlier segments
-    monkeypatch.setattr(primes, "_SIEVE_SEGMENT", 8)
-    for b in range(401):
-        assert primes._odd_primes_from_5(b).tolist() == want[: bisect.bisect_right(want, b)], b
 
 
 def test_hl_constant_against_direct_product():
