@@ -22,7 +22,6 @@ from .subsets import FAMILY_ALL, CayleySubset, check_split, covalency_splits, sp
 
 EXACT_SCAN_MAX_M = 20    # the m range pinned against an exhaustive enumeration of index sets
 MIN_EXCEPTIONAL_PRIME = 67     # theorem scope of both classification routes
-_MAX_GAP_K = 1 << 28    # keeps 36 k^2 + 3 (r + 3) k + c inside int64
 
 
 class SplitWorst(NamedTuple):
@@ -176,9 +175,9 @@ def extremal_mu2(m: int, l1: int, l2: int) -> float:
 
     The outer absolute value only matters for window sizes comparable to m
     (where the centered window's cosine sum goes negative); in the small-l
-    regime the first term is positive as-is.  Agrees with
-    mu_abs(extremal_subset(m, l1, l2), 2) whenever the removed windows fit
-    inside the group.
+    regime the first term is positive as-is.  Agrees with |z_2| + |w_2| of
+    extremal_subset(m, l1, l2), from `spectra._block` at j = 2, whenever the
+    removed windows fit inside the group.
     """
     check_split(m, l1, l2)
     return _peak_mu2(math, m, l1, l2)
@@ -249,31 +248,6 @@ def is_exceptional_spectral(p: int) -> ExceptionalVerdict:
         "ramanujan_bound": bound,
     }
     return ExceptionalVerdict(p, l0, "spectral", exceptional, witness)
-
-
-# -- the interpolating gap function ------------------------------------------
-
-
-def interpolated_gap(r: int, c: int, k: int | np.ndarray) -> float | np.ndarray:
-    """Peak eigenvalue minus Ramanujan bound, interpolated along one family.
-
-    Evaluated at t = 36 k^2 + 3 (r + 3) k + c with covalency l = 24 k + r + 1
-    and the maximizing split for that l.  Its sign matches the sign of the
-    exceptionality margin whenever t is prime.  k is an int (a float comes
-    back) or an int64 array (an array of gaps comes back, one numpy pass).
-    """
-    g = _gap(np, *_gap_arguments(r, c, k))
-    return float(g) if g.ndim == 0 else g
-
-
-def _gap_arguments(r, c, k):
-    """(t, l) of the interpolated gap at k, an int or an int64 array."""
-    if not 0 <= r <= 23:
-        raise ValueError(f"family residue r must be in [0, 23], got {r}")
-    k = np.asarray(k, dtype=np.int64)
-    if np.any((k < 1) | (k > _MAX_GAP_K)):
-        raise ValueError(f"k must be in [1, {_MAX_GAP_K}], got {k}")
-    return 36 * k * k + 3 * (r + 3) * k + c, 24 * k + r + 1
 
 
 def _gap_at_mp(n: int, l: int):

@@ -42,14 +42,8 @@ def element(k: int, e: int, m: int) -> GroupElement:
     return GroupElement(k % (2 * m), e % 2)
 
 
-def all_elements(m: int) -> list[GroupElement]:
-    """The 4m elements, <x> first, then the coset <x>y."""
-    _check_m(m)
-    return [GroupElement(k, e) for e in (0, 1) for k in range(2 * m)]
-
-
 def element_index(g: GroupElement, m: int) -> int:
-    """Position of the normal form g in `all_elements(m)`."""
+    """Index e * 2m + k of the normal form g = x^k y^e: <x> first, then the coset <x>y."""
     return g.e * 2 * m + g.k
 
 
@@ -67,21 +61,13 @@ def multiply(a: GroupElement, b: GroupElement, m: int) -> GroupElement:
     return GroupElement((a.k + (1 - 2 * a.e) * b.k + m * a.e * b.e) % (2 * m), a.e ^ b.e)
 
 
-def inverse(g: GroupElement, m: int) -> GroupElement:
-    """Inverse in normal form: (x^k)^-1 = x^(2m-k), (x^k y)^-1 = x^(m+k) y."""
-    n = 2 * m
-    if g.e == 0:
-        return GroupElement(-g.k % n, 0)
-    return GroupElement((m + g.k) % n, 1)
-
-
 @lru_cache(maxsize=1)
 def cayley_table(m: int) -> memoryview:
     """Read-only flat Cayley table: entry 4m * i + j is the index of g_i * g_j.
 
-    Indices are positions in `all_elements(m)`.  Filled in blocks of rows,
-    each one call of `multiply` on index arrays, so the group law keeps a
-    single definition and the temporaries stay near _TABLE_BLOCK entries;
+    Indices are `element_index`'s, e * 2m + k for x^k y^e.  Filled in
+    blocks of rows, each one call of `multiply` on index arrays, so the group
+    law keeps a single definition and the temporaries stay near _TABLE_BLOCK entries;
     uint16 holds every index below MAX_TABLE_ORDER.  Only the latest m is
     cached: callers work one m at a time.
     """

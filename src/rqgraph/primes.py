@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bounds import MIN_EXCEPTIONAL_PRIME, ExceptionalVerdict, _check_scope, _gap, _gap_arguments, _gap_at_mp
+from .bounds import MIN_EXCEPTIONAL_PRIME, ExceptionalVerdict, _check_scope, _gap, _gap_at_mp
 from .bounds import gap_error_scale, trivial_bound
 from .spectra import EPS, at_or_below
 
@@ -107,29 +107,6 @@ def check_odd_prime(p: int) -> None:
         raise ValueError(f"p must be an odd prime, got {p}")
 
 
-def _jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) for odd positive n, by binary reciprocity."""
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
-def legendre_symbol(a: int, p: int) -> int:
-    """Legendre symbol (a/p) for odd prime p."""
-    if p <= 2 or p % 2 == 0:
-        raise ValueError(f"p must be an odd prime, got {p}")
-    return _jacobi(a, p)
-
-
 def hardy_littlewood_admissible(a: int, b: int, c: int) -> bool:
     """Conditions under which a x^2 + b x + c is conjectured prime-rich.
 
@@ -178,8 +155,8 @@ def derive_k_threshold(r: int, c: int) -> int:
     if c not in allowed:
         raise ValueError(f"c={c} is not an admissible constant for r={r}")
     ks = np.arange(1, THRESHOLD_SCAN_HORIZON + 1)
-    values, l = _gap_arguments(r, c, ks)
-    gap = _gap(np, values, l)      # interpolated_gap(r, c, ks), with f(k) kept
+    values, l = 36 * ks * ks + 3 * (r + 3) * ks + c, 24 * ks + r + 1     # f(k) and its covalency l0 + 1
+    gap = _gap(np, values, l)
     scale = gap_error_scale(int(values[-1]))
     holds = gap <= 0
     for i in np.flatnonzero(np.abs(gap) < EPS * scale).tolist():

@@ -13,7 +13,6 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from types import SimpleNamespace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -24,15 +23,6 @@ _MP_DPS = 50
 EPS = sys.float_info.epsilon
 DECISION_TOL = 1e-9
 GROUP_TOL = 1e-9
-
-
-class TwoDimEigenvalues(NamedTuple):
-    """Eigenvalue data of one degree-2 block [[z, w], [conj(w), z]]."""
-
-    diag: float          # z_j, real cosine sum over the <x> part
-    offdiag_abs: float   # |w_j|, zero for odd j
-    plus: float          # z_j + |w_j|
-    minus: float         # z_j - |w_j|
 
 
 @dataclass(frozen=True)
@@ -62,23 +52,13 @@ def one_dim_eigenvalues(subset: CayleySubset) -> tuple[int, int, int, int]:
     return lam1, lam2, lam3, lam4
 
 
-def two_dim_eigenvalues(subset: CayleySubset, j: int) -> TwoDimEigenvalues:
-    """Eigenvalues of the degree-2 block at frequency j in [1, m-1].
-
-    z_j = sum over pairs of 2 cos(pi j k1 / m) + delta (-1)^j; the off-diagonal
-    term w_j vanishes for odd j and is 2 |sum over y-pairs of e^(i pi j k2 / m)|
-    for even j.  Sums are fully compensated (fsum), in `_block`.
-    """
-    m = subset.m
-    if not 1 <= j <= m - 1:
-        raise ValueError(f"frequency j must be in [1, m-1], got j={j}, m={m}")
-    z, w_abs = _block(math, m, subset.pair_bits, subset.delta, subset.ypair_bits, j)
-    return TwoDimEigenvalues(z, w_abs, z + w_abs, z - w_abs)
-
-
 def _block(xp, m, pairs, delta, ypairs, j):
-    """(z_j, |w_j|) in the numeric module xp: math for doubles, mpmath at its working precision.
+    """(z_j, |w_j|) of the degree-2 block [[z_j, w_j], [conj(w_j), z_j]] at frequency j in [1, m-1].
 
+    z_j = sum over pairs of 2 cos(pi j k1 / m) + delta (-1)^j; w_j vanishes for
+    odd j and |w_j| = 2 |sum over y-pairs of e^(i pi j k2 / m)| for even j.  The
+    block's eigenvalues are z_j +- |w_j|.  Sums are fully compensated (fsum) in
+    the numeric module xp: math for doubles, mpmath at its working precision.
     With xp = NUMPY_ROWS, j is a column of frequencies of one parity and the
     sums come back as a column, one entry per frequency.
     """
@@ -150,16 +130,6 @@ BLOCK_ENTRIES = 1 << 14
 # `_raw_values` takes the frequencies one at a time in math.  The two cross
 # between 600 and 700 angles (python 3.11, numpy 2.4, 2 vCPUs).
 MIN_BLOCK_ANGLES = 640
-
-
-def mu_abs(subset: CayleySubset, j: int) -> float:
-    """max(|mu_j^+|, |mu_j^-|), which equals |z_j| + |w_j|.
-
-    Called by tests only: it is the per-subset reference that the closed
-    form `bounds.extremal_mu2` is checked against.
-    """
-    ev = two_dim_eigenvalues(subset, j)
-    return max(abs(ev.plus), abs(ev.minus))
 
 
 def _values(xp, subset: CayleySubset) -> list:

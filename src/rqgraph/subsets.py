@@ -113,9 +113,6 @@ class CayleySubset:
         ye = sum(1 for k in self.ypair_bits if k % 2 == 0)
         return SigmaCounts(xe, len(self.pair_bits) - xe, ye, len(self.ypair_bits) - ye)
 
-    def generates(self) -> bool:
-        return generates_fast(self.m, self.pair_bits, self.ypair_bits)
-
     # -- textual literal, the CLI wire format --------------------------------
 
     def literal(self) -> str:
@@ -125,11 +122,6 @@ class CayleySubset:
             f";delta={self.delta}"
             f";ypairs={','.join(str(k) for k in sorted(self.ypair_bits))}"
         )
-
-
-def full_subset(m: int) -> CayleySubset:
-    """The whole group minus the identity (complete-graph subset, l = 1)."""
-    return CayleySubset(m, frozenset(range(1, m)), 1, frozenset(range(m)))
 
 
 def parse_subset_literal(text: str) -> CayleySubset:

@@ -18,7 +18,6 @@ from rqgraph.bounds import (
     asymptotic_coefficient,
     exact_safe_covalency,
     extremal_mu2,
-    interpolated_gap,
     is_exceptional_spectral,
     maximizing_split,
     ramanujan_bound_at,
@@ -33,6 +32,7 @@ from rqgraph.primes import (
     is_prime,
     scan_families,
 )
+from rqgraph.group import generates_fast
 from rqgraph.spectra import (
     full_spectrum,
     is_ramanujan,
@@ -43,10 +43,9 @@ from rqgraph.subsets import (
     covalency_splits,
     enumerate_family,
     extremal_subset,
-    full_subset,
     random_subset,
 )
-from conftest import structural_subsets
+from conftest import family_gap, full_subset, structural_subsets
 
 
 def report(num, name, ok, detail=""):
@@ -78,7 +77,7 @@ def test_criterion_01_oracle_equivalence():
             checked += 1
 
     for m in range(1, 7):
-        batch = [s for s in structural_subsets(m) if s.generates()]
+        batch = [s for s in structural_subsets(m) if generates_fast(m, s.pair_bits, s.ypair_bits)]
         run_batch(batch)
 
     rng = random.Random(20240801)
@@ -146,7 +145,7 @@ def _expected_safe_covalency(m, family):
         return l0
     members = [
         s for s in structural_subsets(m)
-        if s.generates() and (family == "s" or len(s.ypair_bits) < m)
+        if generates_fast(m, s.pair_bits, s.ypair_bits) and (family == "s" or len(s.ypair_bits) < m)
     ]
     boundary_safe = all(
         _dense_lambda_max_nontrivial(s) <= 2 * math.sqrt(s.size - 1)
@@ -253,7 +252,7 @@ def test_reference_disputed_primes_have_non_ramanujan_witness():
         s = extremal_subset(p, split.l1, split.l2)
         bound = 2 * math.sqrt(s.size - 1)
         facts = {
-            "generates": s.generates(),
+            "generates": generates_fast(p, s.pair_bits, s.ypair_bits),
             "covalency": s.covalency() == l,
             "y-coset not full": len(s.ypair_bits) < p,
             "formula lambda > bound": lambda_max_nontrivial(s) > bound,
@@ -281,7 +280,7 @@ def test_criterion_10_gap_asymptotics():
     bad = []
     for (r, c) in rows:
         coeff = asymptotic_coefficient(r, c)
-        scaled = k * interpolated_gap(r, c, k)
+        scaled = k * family_gap(r, c, k)
         if abs(scaled - coeff) > 0.02 * abs(coeff):
             bad.append(((r, c), scaled, coeff))
     ceiling_ok = all(

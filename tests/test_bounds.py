@@ -11,7 +11,6 @@ from rqgraph.bounds import (
     asymptotic_coefficient,
     exact_safe_covalency,
     extremal_mu2,
-    interpolated_gap,
     is_exceptional_spectral,
     maximizing_split,
     ramanujan_bound_at,
@@ -19,7 +18,8 @@ from rqgraph.bounds import (
     trivial_bound,
 )
 from rqgraph.dense import oracle_max_delta
-from rqgraph.spectra import at_or_below, is_ramanujan, lambda_max_nontrivial, mu_abs, ramanujan_bound
+from rqgraph.group import generates_fast
+from rqgraph.spectra import at_or_below, is_ramanujan, lambda_max_nontrivial, ramanujan_bound
 from rqgraph.subsets import (
     CayleySubset,
     covalency_splits,
@@ -28,6 +28,7 @@ from rqgraph.subsets import (
     parse_subset_literal,
     split_sizes,
 )
+from conftest import family_gap, family_point
 
 
 def test_trivial_bound_examples():
@@ -342,7 +343,9 @@ def test_extremal_mu2_against_subset_spectrum():
                 if (l1 - 2 + delta) // 2 > m - 1 or l2 // 2 > m:
                     continue
                 closed = extremal_mu2(m, l1, l2)
-                honest = mu_abs(extremal_subset(m, l1, l2), 2)
+                s = extremal_subset(m, l1, l2)
+                z, w = spectra._block(math, m, s.pair_bits, s.delta, s.ypair_bits, 2)
+                honest = abs(z) + w
                 assert closed == pytest.approx(honest, abs=1e-9), (m, l1, l2)
 
 
@@ -461,7 +464,7 @@ def test_closed_form_does_not_decide_the_restricted_family_at_73():
     pairs = ",".join(str(k) for k in range(1, 73) if k not in (14, 17, 28, 31, 42, 45, 56, 59))
     ypairs = ",".join(str(k) for k in range(73) if k not in (8, 11, 22, 25, 39, 53, 67, 70))
     s = parse_subset_literal(f"m=73;pairs={pairs};delta=1;ypairs={ypairs}")
-    assert s.generates()
+    assert generates_fast(s.m, s.pair_bits, s.ypair_bits)
     assert s.covalency() == trivial_bound(73) + 1 == 33
     assert (s.profile().l1, s.profile().l2) == (17, 16)
     assert len(s.ypair_bits) == 65
@@ -473,18 +476,14 @@ def test_closed_form_does_not_decide_the_restricted_family_at_73():
 
 
 def test_interpolated_gap_signs():
-    assert interpolated_gap(6, 4, 1) < 0          # p = 67 is exceptional
-    assert interpolated_gap(0, -5, 2) > 0         # p = 157 is ordinary
+    assert family_gap(6, 4, 1) < 0          # p = 67 is exceptional
+    assert family_gap(0, -5, 2) > 0         # p = 157 is ordinary
     # double and extended precision agree away from ties
     for (r, c, k) in ((6, 4, 1), (0, -5, 2), (9, 7, 3), (23, 41, 5)):
-        a = interpolated_gap(r, c, k)
+        a = family_gap(r, c, k)
         with mpmath.workdps(50):
-            b = bounds._gap_at_mp(*(int(v) for v in bounds._gap_arguments(r, c, k)))
+            b = bounds._gap_at_mp(*family_point(r, c, k))
         assert a == pytest.approx(float(b), abs=1e-9)
-    with pytest.raises(ValueError):
-        interpolated_gap(24, 0, 1)
-    with pytest.raises(ValueError):
-        interpolated_gap(0, -5, 0)
 
 
 def _admissible_families():
@@ -501,13 +500,9 @@ def test_interpolated_gap_array_matches_scalar_calls():
     cases += [(r, c, 50) for (r, c) in families]
     for r, c, horizon in cases:
         ks = np.arange(1, horizon + 1)
-        gaps = interpolated_gap(r, c, ks)
+        gaps = family_gap(r, c, ks)
         assert gaps.shape == ks.shape
-        assert gaps.tolist() == [interpolated_gap(r, c, k) for k in range(1, horizon + 1)], (r, c)
-    with pytest.raises(ValueError):
-        interpolated_gap(0, -5, np.array([3, 0, 5]))
-    with pytest.raises(ValueError):                 # f(k) would overflow int64
-        interpolated_gap(0, -5, 1 << 29)
+        assert gaps.tolist() == [family_gap(r, c, k) for k in range(1, horizon + 1)], (r, c)
 
 
 def test_gap_sign_matches_spectral_margin_at_primes():
@@ -519,7 +514,7 @@ def test_gap_sign_matches_spectral_margin_at_primes():
         r, c, k = window_coordinates(p)
         v = is_exceptional_spectral(p)
         margin = v.witness["mu2_abs"] - v.witness["ramanujan_bound"]
-        assert (interpolated_gap(r, c, k) < 0) == (margin < 0) == v.exceptional
+        assert (family_gap(r, c, k) < 0) == (margin < 0) == v.exceptional
 
 
 def _sampled_primes(lo, count, rng):
@@ -553,9 +548,9 @@ def test_gap_error_is_under_its_stated_bound():
             with mpmath.workdps(50):
                 exact = bounds._gap_at_mp(p, l)
             r, c, k = window_coordinates(p)
-            assert tuple(int(v) for v in bounds._gap_arguments(r, c, k)) == (p, l)
+            assert family_point(r, c, k) == (p, l)
             for double in (extremal_mu2(p, split.l1, split.l2) - ramanujan_bound_at(p, l),
-                           interpolated_gap(r, c, k)):
+                           family_gap(r, c, k)):
                 err = abs(double - exact)
                 assert err <= bound, (p, err, bound)
                 worst = max(worst, err / bound)
@@ -576,6 +571,6 @@ def test_asymptotic_coefficient():
 def test_asymptotic_coefficient_predicts_large_k_sign():
     for (r, c) in ((0, -5), (5, 1), (12, 13), (23, 41)):
         coeff = asymptotic_coefficient(r, c)
-        assert (interpolated_gap(r, c, 1000) < 0) == (coeff < 0)
+        assert (family_gap(r, c, 1000) < 0) == (coeff < 0)
         # and the scaled gap approaches the coefficient
-        assert 1000 * interpolated_gap(r, c, 1000) == pytest.approx(coeff, rel=0.02)
+        assert 1000 * family_gap(r, c, 1000) == pytest.approx(coeff, rel=0.02)

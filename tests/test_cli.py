@@ -13,8 +13,7 @@ import pytest
 import rqgraph
 from rqgraph import bounds, dense, primes, spectra, subsets
 from rqgraph.cli import main
-from rqgraph.subsets import full_subset
-from conftest import DATA_DIR
+from conftest import DATA_DIR, full_subset
 
 FIXTURE = str(DATA_DIR / "table2.csv")
 

@@ -10,11 +10,11 @@ from rqgraph.dense import (
     symmetric_eigenvalues,
     symmetric_eigenvalues_batch,
 )
-from rqgraph.group import all_elements, multiply
+from rqgraph.group import multiply
 from rqgraph.spectra import full_spectrum
-from rqgraph.subsets import CayleySubset, full_subset, parse_subset_literal, random_subset
+from rqgraph.subsets import CayleySubset, parse_subset_literal, random_subset
 
-from conftest import structural_subsets
+from conftest import full_subset, group_elements, structural_subsets
 
 COCKTAIL = parse_subset_literal("m=3;pairs=1,2;delta=0;ypairs=0,1,2")
 
@@ -51,7 +51,7 @@ def test_adjacency_size_cap():
 def _adjacency_by_vertex_loop(subset):
     """Reference construction: one multiply per vertex and generator."""
     m = subset.m
-    idx = {g: i for i, g in enumerate(all_elements(m))}
+    idx = {g: i for i, g in enumerate(group_elements(m))}
     gens = subset.elements()
     a = np.zeros((4 * m, 4 * m))
     for g in idx:

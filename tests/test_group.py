@@ -1,21 +1,17 @@
+import functools
 import os
 import pathlib
 import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import rqgraph
-from rqgraph.group import (
-    IDENTITY,
-    GroupElement,
-    all_elements,
-    generates,
-    generates_fast,
-    inverse,
-    multiply,
-)
+from rqgraph.group import IDENTITY, GroupElement, element_index, generates, generates_fast, multiply
+from rqgraph.subsets import CayleySubset
+from conftest import group_elements, inverse, structural_subsets
 
 
 def test_multiply_examples():
@@ -28,24 +24,26 @@ def test_multiply_examples():
 
 
 def test_inverse_examples():
-    assert inverse(GroupElement(1, 0), 3) == GroupElement(5, 0)
-    assert inverse(IDENTITY, 5) == IDENTITY
-    assert inverse(GroupElement(2, 1), 3) == GroupElement(5, 1)
+    # (x^k)^-1 = x^(2m-k), (x^k y)^-1 = x^(m+k) y
+    assert multiply(GroupElement(1, 0), GroupElement(5, 0), 3) == IDENTITY
+    assert multiply(IDENTITY, IDENTITY, 5) == IDENTITY
+    assert multiply(GroupElement(2, 1), GroupElement(5, 1), 3) == IDENTITY
 
 
 @pytest.mark.parametrize("m", range(1, 17))
 def test_identity_and_inverse_laws(m):
-    for g in all_elements(m):
+    els = group_elements(m)
+    for g in els:
         assert multiply(g, IDENTITY, m) == g
         assert multiply(IDENTITY, g, m) == g
-        assert multiply(g, inverse(g, m), m) == IDENTITY
+        assert [h for h in els if multiply(g, h, m) == IDENTITY] == [inverse(g, m)]    # one inverse
         assert multiply(inverse(g, m), g, m) == IDENTITY
 
 
 @pytest.mark.parametrize("m", range(1, 17))
 def test_associativity_random_triples(m):
     rng = random.Random(100 + m)
-    els = all_elements(m)
+    els = group_elements(m)
     for _ in range(200):
         a, b, c = (rng.choice(els) for _ in range(3))
         assert multiply(multiply(a, b, m), c, m) == multiply(a, multiply(b, c, m), m)
@@ -61,8 +59,9 @@ def test_x_powers_form_cyclic_group():
 
 def conjugation_orbits(m):
     """The orbits of z under z -> g z g^-1, computed from `multiply` and `inverse`."""
-    els = all_elements(m)
-    return {frozenset(multiply(multiply(g, z, m), inverse(g, m), m) for g in els) for z in els}
+    els = group_elements(m)
+    inv = {g: inverse(g, m) for g in els}
+    return {frozenset(multiply(multiply(g, z, m), inv[g], m) for g in els) for z in els}
 
 
 @pytest.mark.parametrize("m", range(1, 13))
@@ -70,7 +69,7 @@ def test_conjugacy_classes_partition_and_sizes(m):
     # the class equation of the group law: m + 3 classes whose sizes divide 4m
     classes = conjugation_orbits(m)
     assert len(classes) == m + 3
-    assert set().union(*classes) == set(all_elements(m))
+    assert set().union(*classes) == set(group_elements(m))
     assert sum(len(c) for c in classes) == 4 * m
     for c in classes:
         assert (4 * m) % len(c) == 0
@@ -115,7 +114,7 @@ def test_group_size_guard():
     with pytest.raises(ValueError):
         element(0, 0, MAX_M + 1)
     with pytest.raises(ValueError):
-        all_elements(0)
+        element(0, 0, 0)
     # the BFS reads the Cayley table, which is capped
     with pytest.raises(ValueError):
         generates({GroupElement(1, 0), GroupElement(0, 1)}, MAX_TABLE_ORDER // 4 + 1)
@@ -127,16 +126,16 @@ def test_cayley_table_matches_multiply():
     size cap, where the int16 intermediates come closest to overflowing."""
     import random
 
-    from rqgraph.group import MAX_TABLE_ORDER, all_elements, cayley_table, element_index
+    from rqgraph.group import MAX_TABLE_ORDER, cayley_table, element_index
 
     for m in range(1, 13):
-        elems = all_elements(m)
+        elems = group_elements(m)
         expected = [element_index(multiply(g, h, m), m) for g in elems for h in elems]
         table = cayley_table(m)
         assert table.readonly and table.format == "H"
         assert table.tolist() == expected, m
     m = MAX_TABLE_ORDER // 4
-    elems = all_elements(m)
+    elems = group_elements(m)
     table = cayley_table(m)
     rng = random.Random(0)
     for i, j in [(4 * m - 1, 4 * m - 1), (2 * m - 1, 4 * m - 1)] + [
@@ -163,15 +162,46 @@ def test_cayley_table_build_memory_is_capped():
     assert peak < 48 * 2**20, peak
 
 
+def _proper_subgroup_masks(m):
+    """Element bitmask (bit `element_index(g)`) of every proper subgroup of Q_{4m}: from the
+    trivial group up, each is a smaller one closed under `multiply` with one more element."""
+    els = group_elements(m)
+    table = [[element_index(multiply(g, h, m), m) for h in els] for g in els]
+    found, todo = {1}, [1]      # bit 0 is IDENTITY
+    while todo:
+        mask = todo.pop()
+        for g in range(4 * m):
+            gens = [i for i in range(4 * m) if mask >> i & 1 or i == g]
+            seen = frontier = {0}
+            while frontier:
+                frontier = {table[i][j] for i in frontier for j in gens} - seen
+                seen = seen | frontier
+            bigger = sum(1 << i for i in seen)
+            if bigger not in found:
+                found.add(bigger)
+                todo.append(bigger)
+    return np.array(sorted(found - {(1 << 4 * m) - 1}), dtype=np.uint64)
+
+
 @pytest.mark.parametrize("m", range(1, 9))
 def test_generates_fast_matches_bfs_closure(m):
-    # gcd characterization == BFS closure for every symmetric subset
-    from conftest import structural_subsets
+    """A subset generates iff no proper subgroup holds it: generates_fast agrees on every symmetric
+    subset, as element bitmasks against all proper subgroups in one numpy pass, BFS `generates` for m <= 6."""
+    subsets = list(structural_subsets(m))
 
-    for subset in structural_subsets(m):
-        els = subset.elements()
-        expected = generates(els, m) if els else False
-        assert generates_fast(m, subset.pair_bits, subset.ypair_bits) == expected
+    @functools.cache
+    def mask(pairs, delta, ypairs):
+        return sum(1 << element_index(g, m) for g in CayleySubset(m, pairs, delta, ypairs).elements())
+
+    none = frozenset()
+    masks = np.array([mask(s.pair_bits, s.delta, none) | mask(none, 0, s.ypair_bits) for s in subsets], np.uint64)
+    held = ((masks[:, None] & ~_proper_subgroup_masks(m)[None, :]) == 0).any(axis=1)
+    expected = (~held).tolist()
+    fast = [generates_fast(m, s.pair_bits, s.ypair_bits) for s in subsets]
+    assert fast == expected, next(s.literal() for s, a, b in zip(subsets, fast, expected) if a != b)
+    if m <= 6:
+        bfs = [bool(s.size) and generates(s.elements(), m) for s in subsets]
+        assert bfs == expected, next(s.literal() for s, a, b in zip(subsets, bfs, expected) if a != b)
 
 
 def test_importing_group_loads_no_other_rqgraph_module():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rqgraph import primes
-from rqgraph.bounds import _gap_arguments, _gap_at_mp, gap_error_scale, interpolated_gap, trivial_bound
+from rqgraph.bounds import _gap_at_mp, gap_error_scale, trivial_bound
 from rqgraph.spectra import EPS, at_or_below
 from rqgraph.primes import (
     THRESHOLD_SCAN_HORIZON,
@@ -23,10 +23,10 @@ from rqgraph.primes import (
     hardy_littlewood_density,
     is_exceptional_arithmetic,
     is_prime,
-    legendre_symbol,
     scan_families,
     window_coordinates,
 )
+from conftest import family_gap, family_point
 
 SMALL_PRIMES = [p for p in range(2, 3000) if all(p % q for q in range(2, p))]
 
@@ -89,12 +89,26 @@ def test_is_prime_against_sympy():
         assert not is_prime(a * b)
 
 
+def _jacobi(a, n):
+    """Jacobi symbol (a/n) for odd positive n, by binary reciprocity: the character of `_hl_products`."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
 def test_legendre_examples():
-    assert legendre_symbol(1, 7) == 1
-    assert legendre_symbol(89, 5) == 1  # 89 = 4 mod 5, a square
-    assert legendre_symbol(10, 5) == 0
-    with pytest.raises(ValueError):
-        legendre_symbol(3, 4)
+    assert _jacobi(1, 7) == 1
+    assert _jacobi(89, 5) == 1  # 89 = 4 mod 5, a square
+    assert _jacobi(10, 5) == 0
 
 
 def test_legendre_against_euler_criterion():
@@ -104,7 +118,7 @@ def test_legendre_against_euler_criterion():
         a = rng.randrange(-300, 300)
         euler = pow(a % p, (p - 1) // 2, p)
         euler = -1 if euler == p - 1 else euler
-        assert legendre_symbol(a, p) == euler, (a, p)
+        assert _jacobi(a, p) == euler, (a, p)
 
 
 def test_legendre_square_factor_invariance():
@@ -115,7 +129,7 @@ def test_legendre_square_factor_invariance():
         k = rng.randrange(1, 50)
         if k % p == 0:
             continue
-        assert legendre_symbol(k * k * d, p) == legendre_symbol(d, p)
+        assert _jacobi(k * k * d, p) == _jacobi(d, p)
 
 
 def test_candidate_constants():
@@ -150,12 +164,12 @@ def test_irreducibility_filter_details():
 
 def _gap_mp(r, c, k):
     """The interpolated gap at one k as an mpf, at mpmath's working precision."""
-    return _gap_at_mp(*(int(v) for v in _gap_arguments(r, c, k)))
+    return _gap_at_mp(*family_point(r, c, k))
 
 
 def _gap_at_or_below(r, c, k, scale):
     """The near-tie rule on the interpolated gap at one k."""
-    return at_or_below(interpolated_gap(r, c, k), scale, lambda: _gap_mp(r, c, k))
+    return at_or_below(family_gap(r, c, k), scale, lambda: _gap_mp(r, c, k))
 
 
 def _scan_scale(r, c):
@@ -190,7 +204,7 @@ def _threshold_by_loop(r, c):
     which must then hold up to the horizon.  Gap values come from one array
     call (pinned to scalar calls in test_bounds); every one goes through the
     near-tie rule."""
-    gaps = interpolated_gap(r, c, np.arange(1, THRESHOLD_SCAN_HORIZON + 1)).tolist()
+    gaps = family_gap(r, c, np.arange(1, THRESHOLD_SCAN_HORIZON + 1)).tolist()
     scale = _scan_scale(r, c)
     threshold = None
     for k, g in enumerate(gaps, start=1):
@@ -406,7 +420,7 @@ def _hl_products(bound):
     recip = 1.0 / (p - 1.0)
     out = {}
     for d in {fam.reduced_discriminant for fam in all_families()}:
-        table = np.array([primes._jacobi(d, u) if u % 2 else 0 for u in range(4 * d)], float)
+        table = np.array([_jacobi(d, u) if u % 2 else 0 for u in range(4 * d)], float)
         f = 1.0 - table[p % table.size] * recip
         n_small = int(np.searchsorted(p, 2 * d, side="right"))
         out[d] = float(np.multiply.reduce(f[:n_small])) * float(np.multiply.reduce(f[n_small:]))
@@ -501,7 +515,7 @@ def test_hl_constant_matches_plain_python_product_bit_for_bit():
     plain = [p for p in range(5, bound + 1) if sieve[p]]
     for (r, c) in ((0, -5), (3, 1)):                      # d = 89 and 20
         d = (r + 3) ** 2 - 16 * c
-        factors = [1.0 - legendre_symbol(d, p) / (p - 1) for p in plain]
+        factors = [1.0 - _jacobi(d, p) / (p - 1) for p in plain]
         n_small = sum(p <= 2 * d for p in plain)
         direct = math.prod(factors[:n_small]) * math.prod(factors[n_small:])
         assert _hl(r, c, bound) == direct, (r, c)
@@ -528,7 +542,7 @@ def test_hl_constant_against_direct_product():
         d = (r + 3) ** 2 - 16 * c
         direct = 1.0
         for p in primes:
-            chi = legendre_symbol(d, p)
+            chi = _jacobi(d, p)
             if chi:
                 direct *= 1.0 - chi / (p - 1)
         assert _hl(r, c, bound) == pytest.approx(direct, abs=1e-12)

@@ -12,15 +12,19 @@ from rqgraph.spectra import (
     full_spectrum,
     is_ramanujan,
     lambda_max_nontrivial,
-    mu_abs,
     one_dim_eigenvalues,
     ramanujan_bound,
-    two_dim_eigenvalues,
 )
-from rqgraph.subsets import CayleySubset, enumerate_family, full_subset, parse_subset_literal, random_subset
-from conftest import structural_subsets
+from rqgraph.group import generates_fast
+from rqgraph.subsets import CayleySubset, enumerate_family, parse_subset_literal, random_subset
+from conftest import full_subset, structural_subsets
 
 COCKTAIL = parse_subset_literal("m=3;pairs=1,2;delta=0;ypairs=0,1,2")
+
+
+def _block(s, j, xp=math):
+    """(z_j, |w_j|) of s at frequency j, from `spectra._block`, the formula's one copy."""
+    return spectra._block(xp, s.m, s.pair_bits, s.delta, s.ypair_bits, j)
 
 
 def test_one_dim_examples():
@@ -48,12 +52,12 @@ def test_one_dim_against_character_sums():
 
 
 def test_two_dim_examples():
-    ev = two_dim_eigenvalues(full_subset(3), 1)
-    assert ev.offdiag_abs == 0.0
-    assert abs(ev.diag + 1) < 1e-12 and abs(ev.plus + 1) < 1e-12
+    z, w = _block(full_subset(3), 1)
+    assert w == 0.0
+    assert abs(z + 1) < 1e-12 and abs(z + w + 1) < 1e-12
 
-    ev = two_dim_eigenvalues(COCKTAIL, 2)
-    assert abs(ev.diag + 2) < 1e-12 and ev.offdiag_abs < 1e-12
+    z, w = _block(COCKTAIL, 2)
+    assert abs(z + 2) < 1e-12 and w < 1e-12
 
 
 @pytest.mark.parametrize("m", (3, 5, 8))
@@ -62,7 +66,7 @@ def test_two_dim_odd_frequency_has_no_cross_term(m):
     for _ in range(20):
         s = random_subset(m, rng.choice(range(1, 2 * m)), rng, "s")
         for j in range(1, m, 2):
-            assert two_dim_eigenvalues(s, j).offdiag_abs == 0.0
+            assert _block(s, j)[1] == 0.0
 
 
 def test_two_dim_against_exponential_sums():
@@ -76,17 +80,10 @@ def test_two_dim_against_exponential_sums():
                 zi = sum(math.sin(w * g.k) for g in els if g.e == 0)
                 wre = sum(math.cos(w * g.k) for g in els if g.e == 1)
                 wim = sum(math.sin(w * g.k) for g in els if g.e == 1)
-                ev = two_dim_eigenvalues(subset, j)
+                z_j, w_j = _block(subset, j)
                 assert abs(zi) < 1e-9  # z_j is real on symmetric sets
-                assert abs(ev.diag - z) < 1e-9
-                assert abs(ev.offdiag_abs - math.hypot(wre, wim)) < 1e-9
-
-
-def test_two_dim_frequency_validation():
-    with pytest.raises(ValueError):
-        two_dim_eigenvalues(full_subset(5), 0)
-    with pytest.raises(ValueError):
-        two_dim_eigenvalues(full_subset(5), 5)
+                assert abs(z_j - z) < 1e-9
+                assert abs(w_j - math.hypot(wre, wim)) < 1e-9
 
 
 def test_full_spectrum_examples():
@@ -124,16 +121,13 @@ def test_trace_and_moment_identities_random(m):
 
 
 def _scalar_spectrum(s):
-    """full_spectrum's values built from the scalar routes, one frequency at a time."""
-    raw = [float(v) for v in one_dim_eigenvalues(s)]
-    for j in range(1, s.m):
-        ev = two_dim_eigenvalues(s, j)
-        raw += [ev.plus, ev.minus]
+    """full_spectrum's values built from the scalar route, `spectra._values` in math, one frequency at a time."""
+    raw = spectra._values(math, s)
     return tuple(sorted(raw[:4] + 2 * raw[4:], reverse=True))
 
 
 def test_full_spectrum_is_bit_identical_to_the_scalar_sums(monkeypatch):
-    """The batched doubles equal two_dim_eigenvalues' math.fsum doubles with ==,
+    """The batched doubles equal `_block`'s math.fsum doubles with ==,
     not within a tolerance: CLI output prints 15 significant digits.  Every
     case takes the batched path, however few its angles."""
     monkeypatch.setattr(spectra, "MIN_BLOCK_ANGLES", 0)
@@ -190,10 +184,12 @@ def test_row_sums_equal_fsum_to_the_bit(monkeypatch):
 
 
 def test_mu_abs_examples():
-    assert abs(mu_abs(full_subset(3), 1) - 1) < 1e-12
-    assert abs(mu_abs(COCKTAIL, 2) - 2) < 1e-12
-    ev = two_dim_eigenvalues(COCKTAIL, 1)
-    assert mu_abs(COCKTAIL, 1) == abs(ev.diag)
+    """max |mu_j^+-| = max |z_j +- |w_j||, which is |z_j| at odd j."""
+    for s, j, mu in ((full_subset(3), 1, 1), (COCKTAIL, 2, 2)):
+        z, w = _block(s, j)
+        assert abs(max(abs(z + w), abs(z - w)) - mu) < 1e-12
+    z, w = _block(COCKTAIL, 1)
+    assert max(abs(z + w), abs(z - w)) == abs(z)
 
 
 def test_lambda_max_and_bound_examples():
@@ -207,7 +203,7 @@ def test_lambda_max_and_bound_examples():
 def test_lambda_max_excludes_both_signs_of_degree():
     # S = <x>y at m = 2 gives K_{4,4}: spectrum {4, 0 x6, -4}; both +-4 drop out
     s = CayleySubset(2, frozenset(), 0, frozenset({0, 1}))
-    assert s.generates()
+    assert generates_fast(s.m, s.pair_bits, s.ypair_bits)
     spec = full_spectrum(s)
     assert [(round(v), k) for v, k in spec.entries] == [(4, 1), (0, 6), (-4, 1)]
     assert lambda_max_nontrivial(s) == 0.0
@@ -250,11 +246,9 @@ def test_float_and_mp_character_sums_agree():
     ]
     for s in cases:
         for j in range(1, s.m):
-            z, w = spectra._block(math, s.m, s.pair_bits, s.delta, s.ypair_bits, j)
-            ev = two_dim_eigenvalues(s, j)
-            assert (z, w) == (ev.diag, ev.offdiag_abs)
+            z, w = _block(s, j)
             with mpmath.workdps(50):
-                z_mp, w_mp = spectra._block(mpmath, s.m, s.pair_bits, s.delta, s.ypair_bits, j)
+                z_mp, w_mp = _block(s, j, mpmath)
             assert abs(z - z_mp) <= 1e-12 and abs(w - w_mp) <= 1e-12, (s.literal(), j)
             if j % 2:
                 assert w == 0.0 and math.copysign(1.0, w) == 1.0 and w_mp == 0
@@ -270,9 +264,9 @@ def test_character_sum_error_is_under_its_stated_bound():
         bound = EPS * spectra.sums_error_scale(s)
         with mpmath.workdps(50):
             for j in range(1, m):
-                ev = two_dim_eigenvalues(s, j)
-                z, w = spectra._block(mpmath, s.m, s.pair_bits, s.delta, s.ypair_bits, j)
-                assert abs(ev.plus - (z + w)) <= bound and abs(ev.minus - (z - w)) <= bound
+                zf, wf = _block(s, j)
+                z, w = _block(s, j, mpmath)
+                assert abs(zf + wf - (z + w)) <= bound and abs(zf - wf - (z - w)) <= bound
             exact = spectra._margin_mp(s)
         margin = lambda_max_nontrivial(s) - ramanujan_bound(s)
         assert abs(margin - exact) <= bound, (l, float(margin - exact), bound)

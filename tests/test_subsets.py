@@ -3,19 +3,18 @@ import random
 
 import pytest
 
-from rqgraph.group import GroupElement, generates, inverse
+from rqgraph.group import GroupElement, generates, generates_fast
 from rqgraph.subsets import (
     CayleySubset,
     SigmaCounts,
     covalency_splits,
     enumerate_family,
     extremal_subset,
-    full_subset,
     parse_subset_literal,
     random_subset,
     split_sizes,
 )
-from conftest import inverse_orbits, structural_subsets
+from conftest import full_subset, group_elements, inverse, inverse_orbits, structural_subsets
 
 
 def test_elements_examples():
@@ -114,7 +113,7 @@ def test_enumerate_family_examples():
     for s in threes:
         p = s.profile()
         assert (p.l1, p.l2, p.delta) == (1, 2, 1)
-        assert s.generates()
+        assert generates_fast(s.m, s.pair_bits, s.ypair_bits)
 
 
 def test_enumeration_is_deterministic_and_ordered():
@@ -161,11 +160,12 @@ def test_enumeration_counts_against_orbit_bruteforce(m):
 
 @pytest.mark.parametrize("m", range(2, 7))
 def test_enumerated_subsets_are_wellformed(m):
+    inv = {g: inverse(g, m) for g in group_elements(m)}
     for l in range(1, 4 * m):
         for s in enumerate_family(m, l, "s"):
             els = s.elements()
             assert GroupElement(0, 0) not in els
-            assert all(inverse(g, m) in els for g in els)  # symmetric
+            assert all(inv[g] in els for g in els)  # symmetric
             assert s.covalency() == l
             assert generates(els, m)
 
@@ -195,7 +195,7 @@ def test_extremal_subset_profile_identity_and_generation():
                 s = extremal_subset(m, l1, l2)
                 p = s.profile()
                 assert (p.l1, p.l2) == (l1, l2)
-                assert s.generates()
+                assert generates_fast(s.m, s.pair_bits, s.ypair_bits)
 
 
 def test_extremal_subset_validation():
@@ -251,5 +251,5 @@ def test_random_subset_raises_exactly_where_no_member_generates():
                         random_subset(m, l, rng, family)
                     continue
                 s = random_subset(m, l, rng, family)
-                assert s.covalency() == l and s.generates(), (family, m, l)
+                assert s.covalency() == l and generates_fast(m, s.pair_bits, s.ypair_bits), (family, m, l)
                 assert family == "s" or s.profile().l2 > 0
