@@ -10,7 +10,6 @@ primes keep the window-extremal subset at l0 + 1's maximizing split Ramanujan
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
@@ -38,8 +37,7 @@ class SplitProfile(NamedTuple):
     l2: int
 
 
-@dataclass(frozen=True)
-class ExceptionalVerdict:
+class ExceptionalVerdict(NamedTuple):
     p: int
     l0: int
     route: str                       # "spectral" or "arithmetic"
@@ -218,14 +216,12 @@ def maximizing_split(l: int | np.ndarray) -> SplitProfile:
 
 def _check_scope(p: int, route: str) -> None:
     """ValueError unless p is an odd prime >= MIN_EXCEPTIONAL_PRIME, the scope of both routes."""
-    from .primes import check_odd_prime
-
     if p < MIN_EXCEPTIONAL_PRIME:
         raise ValueError(
             f"{route} classification is out of theorem scope for p={p} "
             f"(requires p >= {MIN_EXCEPTIONAL_PRIME})"
         )
-    check_odd_prime(p)
+    primes.check_odd_prime(p)
 
 
 def is_exceptional_spectral(p: int) -> ExceptionalVerdict:
@@ -260,3 +256,7 @@ def _gap_at_mp(n: int, l: int):
 def asymptotic_coefficient(r: int, c: int) -> float:
     """Limit of k * gap along the family: (27 (r+3)^2 - 432 c - 256 pi^2) / 1296."""
     return (27 * (r + 3) ** 2 - 432 * c - 256 * math.pi**2) / 1296.0
+
+
+# Last, so that every name `primes` imports from this module exists, whichever loads first.
+from . import primes  # noqa: E402

@@ -74,31 +74,30 @@ def _block(xp, m, pairs, delta, ypairs, j):
     return z, 2.0 * xp.hypot(re, im)
 
 
-# An angle-matrix entry v (|v| <= 2) on the grid 2^-120, as is every |v| >= 2^-68,
-# is (a 2^80 + b 2^40 + c) 2^-120 for integer limbs |a| <= 2^41 and |b|, |c| < 2^40.
-# A row has at most m entries, and CayleySubset caps m at group.MAX_M = 2^20,
-# so each limb's int64 row sum stays below 2^20 2^41 = 2^61.
-_LIMB_BITS = 40
-
-
 def _row_fsums(terms):
     """math.fsum along each row of the one (frequency x index) matrix in terms, as a column.
 
-    The limbs of a row add up exactly in int64, and the row's one Python int
-    rounds once to the nearest double, ties to even: fsum's correctly rounded
-    result, +0.0 for an exact zero.  A row with an entry off the grid (a
-    nonzero residue) goes to math.fsum itself.
+    Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point summation, part I",
+    2008) on rows of n entries |v| <= 2, with 2^b >= n + 2: at sigma = 2^(b+1), then 2^(b-53)
+    times less per level, q = (rest + sigma) - sigma is rest on the grid sigma 2^-53 (twice that
+    where rest >= 0), rest - q is exact and at most that grid, and q's row sum is exact in any
+    order.  The three levels' row sums, integers below 2^53 on their grids, add up in one Python
+    int, which rounds once to the nearest double, ties to even: fsum's correctly rounded result,
+    +0.0 for an exact zero.  A row with a nonzero residue goes to math.fsum itself.
     """
     (matrix,) = terms
-    rest = matrix * 2.0 ** _LIMB_BITS
-    limb_sums = []
+    b = (matrix.shape[1] + 1).bit_length()      # the least b with 2^b >= n + 2
+    shift, sigma = 53 - b, 2.0 ** (b + 1)       # shift: bits from one level's grid to the next
+    q, rest = np.empty_like(matrix), matrix
+    level_sums = []
     for _ in range(3):
-        whole = np.trunc(rest)
-        rest -= whole
-        rest *= 2.0 ** _LIMB_BITS
-        limb_sums.append(whole.astype(np.int64).sum(axis=1).tolist())
-    sums = [math.ldexp(float((a << 2 * _LIMB_BITS) + (b << _LIMB_BITS) + c), -3 * _LIMB_BITS)
-            for a, b, c in zip(*limb_sums)]
+        np.add(rest, sigma, out=q)
+        q -= sigma
+        rest = np.subtract(rest, q, out=None if rest is matrix else rest)    # math.fsum may reread matrix
+        level_sums.append((q.sum(axis=1) * (2.0 ** 53 / sigma)).astype(np.int64).tolist())
+        sigma *= 2.0 ** -shift
+    sums = [math.ldexp(float((a << 2 * shift) + (c << shift) + d), b - 52 - 2 * shift)
+            for a, c, d in zip(*level_sums)]
     for i in np.flatnonzero(rest.any(axis=1)):
         sums[i] = math.fsum(matrix[i].tolist())
     return np.array(sums)[:, None]
@@ -119,16 +118,16 @@ NUMPY_ROWS = SimpleNamespace(pi=np.pi, cos=np.cos, sin=np.sin, hypot=_hypots, fs
 
 # Angle-matrix entries per `_block` call of `_raw_values`: it takes the
 # frequencies a block at a time, so it builds no array of O(m |S|) entries.
-# The six l0 + 1 witness spectra at p = 503..599 take 0.167, 0.130, 0.116,
-# 0.105 and 0.145 s at 2^11 .. 2^15 entries (medians of 11, python 3.11,
-# numpy 2.4, 2 vCPUs).  At 2^15 each temporary array is 256 KiB, above
-# glibc's 128 KiB mmap threshold, and page faults (23,000 a run) take over.
+# Six l0 + 1 witness spectra (p = 503, 509, 523, 557, 563, 587) take 0.163,
+# 0.123, 0.105, 0.096 and 0.121 s at 2^11 .. 2^15 entries (medians of 11,
+# python 3.11, numpy 2.4, 2 vCPUs).  At 2^15 each temporary array is 256 KiB,
+# above glibc's 128 KiB mmap threshold, and page faults take over.
 BLOCK_ENTRIES = 1 << 14
 
 # Below this many angles, (m - 1) (#pairs + #ypairs), numpy's fixed cost per
-# spectrum (about 140 us) outweighs its saving per angle (about 0.2 us), so
+# spectrum (about 190 us) outweighs its saving per angle (about 0.2 us), so
 # `_raw_values` takes the frequencies one at a time in math.  The two cross
-# between 600 and 700 angles (python 3.11, numpy 2.4, 2 vCPUs).
+# between 600 and 1,100 angles (python 3.11, numpy 2.4, 2 vCPUs).
 MIN_BLOCK_ANGLES = 640
 
 

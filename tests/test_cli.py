@@ -214,7 +214,7 @@ def test_exceptional_route_disagreement_fails(capsys, monkeypatch):
 
     def flipped(p):
         verdict = spectral(p)
-        return dataclasses.replace(verdict, exceptional=not verdict.exceptional)
+        return verdict._replace(exceptional=not verdict.exceptional)
 
     monkeypatch.setattr(bounds, "is_exceptional_spectral", flipped)
     code, out = run(capsys, ["exceptional", "--p", "67", "--method", "both"])
@@ -280,6 +280,44 @@ def test_exceptional_both_routes(capsys):
     code, out = run(capsys, ["exceptional", "--p", "65537"])       # prime, decided by the gcd screen
     assert code == 0
     assert json.loads(out)["results"]["routes_agree"] is True
+
+
+def test_exceptional_verdicts_do_not_depend_on_import_order():
+    """`primes` imports names from `bounds`, which imports `primes` once, at its
+    end: a fresh interpreter importing either module first gives the same
+    verdicts at p = 73 and 1997, and neither route calls builtins.__import__
+    (no import statement runs) while both classify 1,000 primes."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(rqgraph.__file__).parents[1])}
+    code = """if True:
+        import builtins, contextlib, io, json
+        import rqgraph.{}
+        from rqgraph import bounds, primes
+        from rqgraph.cli import main
+
+        for p in ("73", "1997"):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main(["exceptional", "--p", p, "--method", "both"]) == 0
+            print(json.dumps(json.loads(out.getvalue())["results"]["verdicts"], sort_keys=True))
+        plist = [p for p in range(67, 10 ** 4) if primes.is_prime(p)][:1000]
+        imports, real = [], builtins.__import__
+        builtins.__import__ = lambda *args, **kwargs: imports.append(args[0]) or real(*args, **kwargs)
+        for p in plist:
+            bounds.is_exceptional_spectral(p)
+            primes.is_exceptional_arithmetic(p)
+        builtins.__import__ = real
+        print(len(plist), imports)
+    """
+    outs = [
+        subprocess.run([sys.executable, "-c", code.format(first)], env=env, capture_output=True, text=True, check=True).stdout
+        for first in ("primes", "bounds")
+    ]
+    assert outs[0] == outs[1]
+    lines = outs[0].splitlines()
+    assert lines[2] == "1000 []"
+    for line, p in zip(lines, (73, 1997)):
+        verdicts = json.loads(line)
+        assert verdicts["spectral"]["exceptional"] is verdicts["arithmetic"]["exceptional"] is True, p
+        assert verdicts["spectral"]["l0"] == verdicts["arithmetic"]["l0"] == bounds.trivial_bound(p)
 
 
 def test_exceptional_out_of_scope(capsys):

@@ -151,8 +151,8 @@ def test_full_spectrum_is_bit_identical_to_the_scalar_sums(monkeypatch):
 
 def test_row_sums_equal_fsum_to_the_bit(monkeypatch):
     """spectra._row_fsums against math.fsum row by row, compared as bit
-    patterns (so +0.0 and -0.0 differ); the 1e-300 row is off the limbs'
-    grid and must be the only one summed by math.fsum itself."""
+    patterns (so +0.0 and -0.0 differ); the 1e-300 row is off the last
+    extraction level's grid and must be the only one summed by math.fsum itself."""
     rows = [
         [0.75, -1.5, 0.75],                       # cancels to an exact zero
         [1.0, 2.0 ** -53],                        # half-ulp tie, to even: 1.0
@@ -181,6 +181,63 @@ def test_row_sums_equal_fsum_to_the_bit(monkeypatch):
     got = spectra._row_fsums([off_grid])
     assert fallback == [[0.5, 1e-300, -0.5]]
     assert got.view(np.int64).tolist() == np.array([[1.0], [1e-300], [1.25]]).view(np.int64).tolist()
+
+
+def _random_rows(rng, rows, n):
+    """rows x n entries +-2 2^-e, e in 0..80: a third powers of two, the rest full 53-bit mantissas."""
+    e = rng.integers(0, 81, (rows, n))
+    mantissa = np.where(rng.random((rows, n)) < 1 / 3, 1.0, rng.uniform(0.5, 1.0, (rows, n)))
+    return rng.choice([-2.0, 2.0], (rows, n)) * mantissa * np.ldexp(1.0, -e)
+
+
+def _tie_rows(rng, n):
+    """Five rows of n entries summing exactly to a double, to half-ulp ties either side of it, or
+    one unit g of the last extraction level's grid above or below a tie; cancelling pairs fill each row.
+    A positive entry is extracted exactly on the grid 2g, a negative one on g."""
+    out = np.zeros((5, n))
+    g = 2.0 ** (3 * (n + 1).bit_length() - 158)
+    for i, row in enumerate(out):
+        head = rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 2.0) * 2.0 ** -int(rng.integers(0, 30))
+        half = math.ulp(head) / 2
+        tail = [[], [half], [-half], [half, 2 * g, -g], [half, -g]][i]
+        pairs = _random_rows(rng, 1, max(0, n - 1 - len(tail)) // 2)[0]
+        terms = [head, *tail, *pairs, *-pairs][:n]
+        row[:len(terms)] = rng.permutation(terms)
+    return out
+
+
+def test_row_sums_equal_fsum_on_seeded_rows(monkeypatch):
+    """spectra._row_fsums against math.fsum, bit for bit, on seeded rows of
+    n = 0, 1, 2^b - 3, 2^b - 2, 2^b - 1 (each side of the least b with
+    2^b >= n + 2) and 4096 entries: random ones, half-ulp ties and exact
+    cancellations.  The last level extracts on the grid 2^(3b - 158) below
+    sigma and twice that above, so math.fsum must be called on every row
+    with an entry off the finer grid, on no row on the coarser one, and on
+    some rows but not all."""
+    rng = np.random.default_rng(27)
+    fallback, fell, total = [], 0, 0
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda row: fallback.append(row) or fsum(row))
+
+    def off_grid(matrix, exponent):
+        scaled = np.ldexp(matrix, -exponent)
+        return set(np.flatnonzero((scaled != np.trunc(scaled)).any(axis=1)).tolist())
+
+    for n in [0, 1, *(2**b + d for b in range(2, 13) for d in (-3, -2, -1)), 4096]:
+        half = _random_rows(rng, 3, n // 2)
+        cancelling = rng.permutation(np.hstack([half, -half, np.zeros((3, n % 2))]), axis=1)
+        for matrix in (_random_rows(rng, 6, n), _tie_rows(rng, n), cancelling):
+            want = np.array([fsum(row) for row in matrix.tolist()])[:, None]
+            fallback.clear()
+            got = spectra._row_fsums([matrix])
+            assert got.shape == (len(matrix), 1)
+            assert (got.view(np.int64) == want.view(np.int64)).all(), (n, matrix)
+            rows = {i for i, row in enumerate(matrix.tolist()) if row in fallback}
+            assert len(rows) == len(fallback)
+            grid = 3 * (n + 1).bit_length() - 158
+            assert off_grid(matrix, grid) <= rows <= off_grid(matrix, grid + 1), n
+            fell, total = fell + len(rows), total + len(matrix)
+    assert 0 < fell < total
 
 
 def test_mu_abs_examples():

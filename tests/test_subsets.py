@@ -1,9 +1,11 @@
 import collections
+import functools
 import random
 
+import numpy as np
 import pytest
 
-from rqgraph.group import GroupElement, generates, generates_fast
+from rqgraph.group import GroupElement, element_index, generates, generates_fast
 from rqgraph.subsets import (
     CayleySubset,
     SigmaCounts,
@@ -53,13 +55,26 @@ def test_sigma_counts_examples():
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_sigma_counts_match_element_scan_and_caps(m):
-    for subset in structural_subsets(m):
+    """sigma_counts against the even and odd k of the elements x^k (k in 1..m-1) and x^k y
+    (k in 0..m-1) of every structural subset, counted in one numpy pass over element
+    bitmasks (bit `element_index(g)`), and the caps on the counts."""
+    subsets = list(structural_subsets(m))
+
+    @functools.cache
+    def mask(pairs, delta, ypairs):
+        return sum(1 << element_index(g, m) for g in CayleySubset(m, pairs, delta, ypairs).elements())
+
+    none = frozenset()
+    masks = np.array([mask(s.pair_bits, s.delta, none) | mask(none, 0, s.ypair_bits) for s in subsets], np.uint64)
+    bits = masks[:, None] >> np.arange(4 * m, dtype=np.uint64) & np.uint64(1)
+    counted = np.zeros((4 * m, 4), np.uint64)
+    for column, (e, parity) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        for k in range(1 - e, m):
+            counted[element_index(GroupElement(k, e), m), column] = k % 2 == parity
+    scans = (bits @ counted).tolist()
+    for subset, scan in zip(subsets, scans):
         sc = subset.sigma_counts()
-        els = subset.elements()
-        assert sc.x_even == sum(1 for k in range(1, m) if GroupElement(k, 0) in els and k % 2 == 0)
-        assert sc.x_odd == sum(1 for k in range(1, m) if GroupElement(k, 0) in els and k % 2 == 1)
-        assert sc.y_even == sum(1 for k in range(0, m) if GroupElement(k, 1) in els and k % 2 == 0)
-        assert sc.y_odd == sum(1 for k in range(0, m) if GroupElement(k, 1) in els and k % 2 == 1)
+        assert [sc.x_even, sc.x_odd, sc.y_even, sc.y_odd] == scan, subset.literal()
         assert subset.size_x == 2 * (sc.x_even + sc.x_odd) + subset.delta
         assert subset.size_y == 2 * (sc.y_even + sc.y_odd)
         if m % 2 == 1:
