@@ -1,8 +1,8 @@
 """Safe-covalency bounds and the spectral exceptional-prime test.
 
 The trivial bound l0 = floor(4 sqrt(m)) - 2 keeps every covalency up to it
-Ramanujan.  The exact safe covalency decides each split by prefix sums at one
-j | 2m per class gcd(j, 2m), tabled for the latest m only.  "Exceptional"
+Ramanujan.  The exact safe covalency decides each split by `spectra._block`
+on its extreme index sets at one j | 2m per class gcd(j, 2m).  "Exceptional"
 primes keep the window-extremal subset at l0 + 1's maximizing split Ramanujan
 (closed form); the restricted family (y-coset not full) can be worse (p = 73).
 """
@@ -10,14 +10,13 @@ primes keep the window-extremal subset at l0 + 1's maximizing split Ramanujan
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import spectra
 from .group import generates_fast
-from .subsets import FAMILY_ALL, CayleySubset, check_split, covalency_splits, split_sizes
+from .subsets import FAMILY_ALL, SigmaCounts, check_split, covalency_splits, split_sizes
 
 EXACT_SCAN_MAX_M = 20    # the m range pinned against an exhaustive enumeration of index sets
 MIN_EXCEPTIONAL_PRIME = 67     # theorem scope of both classification routes
@@ -94,73 +93,65 @@ def split_worst(m: int, l1: int, l2: int) -> Optional[SplitWorst]:
     A set is P of pair and Y of y-pair indices, of the sizes `split_sizes`
     gives.  Its one-dim eigenvalues are integers affine in the even counts of
     P and Y; |v| is convex and is |S| (left out) only at corners of the count
-    box, so the others peak at `_by_even_count`'s corners and edge-neighbours.
-    Its two-dim ones peak at max_j (max_P |z_j| + max_Y |w_j|), j in
-    `_double_extremes`, decided by `spectra.at_or_below`.  Non-generating sets
-    (only above l = 2m) are kept: there the result bounds the generating ones.
+    box, so the others peak at `_even_counts`' corners and edge-neighbours.
+    Its two-dim ones peak at max_j (max_P |z_j| + max_Y |w_j|), the `_peak`
+    at one j | 2m per class gcd(j, 2m), decided by `spectra.at_or_below`.
+    Non-generating sets (only above l = 2m) are kept: there the result bounds
+    the generating ones.
     """
     delta, n_pairs, n_ypairs = split_sizes(m, l1, l2)
     if not generates_fast(m, range(1, n_pairs + 1), range(n_ypairs)):
         return None
-    subsets = [CayleySubset(m, p, delta, y)
-               for p in _by_even_count(range(1, m), n_pairs) for y in _by_even_count(range(m), n_ypairs)]
-    size = subsets[0].size
-    one_dim = [abs(v) for s in subsets for v in spectra.one_dim_eigenvalues(s) if abs(v) != size]
+    size = 4 * m - l1 - l2
+    counts = [SigmaCounts(e, n_pairs - e, f, n_ypairs - f)
+              for e in _even_counts(range(1, m), n_pairs) for f in _even_counts(range(m), n_ypairs)]
+    one_dim = [abs(v) for c in counts for v in spectra.one_dim_eigenvalues(m, delta, c) if abs(v) != size]
     ramanujan = all(v * v <= 4 * (size - 1) for v in one_dim)
-    peaks = {j: zs[delta][n_pairs] + arcs[n_ypairs] for j, (zs, arcs) in _double_extremes(m).items()}
+    peaks = {j: _peak(math, m, j, delta, n_pairs, n_ypairs) for j in range(1, m) if 2 * m % j == 0}
     worst = max(peaks.values(), default=0.0)     # 0.0 at m = 1, which has no degree-2 blocks
-    scale = spectra.sums_error_scale(subsets[0])
+    scale = spectra.sums_error_scale(m, size)
 
     def exact_margin():
         import mpmath
 
         # each double peak is off by up to EPS * scale, worst too: the exact argmax is within twice that
-        near = [_extremes(mpmath, m, j) for j, peak in peaks.items() if peak >= worst - 2 * spectra.EPS * scale]
-        return max(zs[delta][n_pairs] + arcs[n_ypairs] for zs, arcs in near) - 2 * mpmath.sqrt(size - 1)
+        near = [j for j, peak in peaks.items() if peak >= worst - 2 * spectra.EPS * scale]
+        return max(_peak(mpmath, m, j, delta, n_pairs, n_ypairs) for j in near) - 2 * mpmath.sqrt(size - 1)
 
-    ramanujan &= spectra.at_or_below(worst - spectra.ramanujan_bound(subsets[0]), scale, exact_margin)
+    ramanujan &= spectra.at_or_below(worst - ramanujan_bound_at(m, l1 + l2), scale, exact_margin)
     return SplitWorst(float(max(one_dim + [worst])), ramanujan)
 
 
-def _by_even_count(indices: range, n: int) -> list[frozenset]:
-    """One n-element subset of indices per end count of even members: lo, lo + 1, hi - 1 and hi."""
-    evens, odds = [k for k in indices if k % 2 == 0], [k for k in indices if k % 2]
-    lo, hi = max(0, n - len(odds)), min(n, len(evens))
-    return [frozenset(evens[:e] + odds[:n - e]) for e in sorted({lo, lo + 1, hi - 1, hi}) if lo <= e <= hi]
+def _even_counts(indices: range, n: int) -> list[int]:
+    """The end counts of even members over the n-element subsets of indices: lo, lo + 1, hi - 1 and hi."""
+    evens = sum(1 for k in indices if k % 2 == 0)
+    lo, hi = max(0, n - (len(indices) - evens)), min(n, evens)
+    return sorted(e for e in {lo, lo + 1, hi - 1, hi} if lo <= e <= hi)
 
 
-def _extremes(xp, m: int, j: int):
-    """(zs, arcs) at frequency j in the module xp: math for doubles, mpmath at its working precision.
+def _peak(xp, m: int, j: int, delta: int, n_pairs: int, n_ypairs: int):
+    """max |z_j| + max |w_j| over n_pairs pair and n_ypairs y-pair indices, x^m iff delta, in the module xp.
 
-    zs[delta][n] is the largest |z_j| over n pair indices, with x^m iff
-    delta: z_j is largest (smallest) on the first (last) n indices in the
-    integer order of min(jk, -jk) mod 2m, in which 2 cos(pi j k / m) falls.
-    arcs[n], the largest |w_j| over n y-pair indices (0 at odd j), is twice
-    |sum| of the first n points e^(i pi j k / m) in the order jk mod 2m.  A
-    best n-set is an arc of these g-th roots of unity, g = m / gcd(j / 2, m),
-    mu each, closed under conjugation.  Centred on angle 0, an arc with a <= mu
-    points in its first class, b <= mu in its last and full classes of sum R
-    between has |sum|^2 = (R + (a + b) cos t)^2 + ((b - a) sin t)^2, convex
-    in a at fixed a + b: a best arc starts (or, conjugated, ends) at a class
-    boundary, which a rotation moves to angle 0.  Terms: `spectra._block`'s.
+    Both sums come from `spectra._block`, in math for doubles or mpmath at its
+    working precision.  z_j is largest (smallest) on the first (last) n_pairs
+    indices in the integer order of min(jk, -jk) mod 2m = m - |m - jk mod 2m|,
+    ties by k, in which 2 cos(pi j k / m) falls.  |w_j| (0 at odd j) is
+    largest on the first n_ypairs points e^(i pi j k / m) in the order
+    jk mod 2m.  A best n-set is an arc of these g-th roots of unity,
+    g = m / gcd(j / 2, m), mu each, closed under conjugation.  Centred on
+    angle 0, an arc with a <= mu points in its first class, b <= mu in its
+    last and full classes of sum R between has
+    |sum|^2 = (R + (a + b) cos t)^2 + ((b - a) sin t)^2, convex in a at fixed
+    a + b: a best arc starts (or, conjugated, ends) at a class boundary, which
+    a rotation moves to angle 0.  The peak depends on j only through
+    gcd(j, 2m): a unit mod 2m maps j to any j' of its gcd, permutes k in Z/2m
+    and fixes 0 and m, so the pair multiset, x^m's sign and the y-pair ring agree.
     """
-    step = xp.pi * j / m
-    order = sorted(range(1, m), key=lambda k: min(j * k % (2 * m), -j * k % (2 * m)))
-    values = [2.0 * xp.cos(step * k) for k in order]
-    zs = tuple(tuple(max(xp.fsum(values[:n]) + xm, -(xp.fsum(values[m - 1 - n:]) + xm)) for n in range(m))
-               for xm in (0, -1 if j % 2 else 1))
-    if j % 2:
-        return zs, (0 * step,) * (m + 1)
+    pairs = sorted(range(1, m), key=lambda k: abs(m - j * k % (2 * m)), reverse=True)
     ring = sorted(range(m), key=lambda k: j * k % (2 * m))
-    re, im = [xp.cos(step * k) for k in ring], [xp.sin(step * k) for k in ring]
-    return zs, tuple(2.0 * xp.hypot(xp.fsum(re[:n]), xp.fsum(im[:n])) for n in range(m + 1))
-
-
-@lru_cache(maxsize=1)    # the latest m only: callers go m by m
-def _double_extremes(m: int) -> dict:
-    """`_extremes` in doubles at the j < m dividing 2m, one per class gcd(j, 2m): a unit mod 2m maps j to any j' of
-    its gcd, permutes k in Z/2m and fixes 0 and m, so the pair multiset, x^m's sign and the y-pair ring agree."""
-    return {j: _extremes(math, m, j) for j in range(1, m) if 2 * m % j == 0}
+    top, w = spectra._block(xp, m, pairs[:n_pairs], delta, ring[:n_ypairs], j)
+    bottom, _ = spectra._block(xp, m, pairs[m - 1 - n_pairs:], delta, (), j)
+    return max(top, -bottom) + w
 
 
 def extremal_mu2(m: int, l1: int, l2: int) -> float:

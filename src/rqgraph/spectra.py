@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .subsets import CayleySubset
+from .subsets import CayleySubset, SigmaCounts
 
 # The near-tie rule, `at_or_below`.
 _MP_DPS = 50
@@ -33,22 +33,20 @@ class Spectrum:
     entries: tuple[tuple[float, int], ...]     # (value, multiplicity) groups
 
 
-def one_dim_eigenvalues(subset: CayleySubset) -> tuple[int, int, int, int]:
-    """Eigenvalues of the four linear characters (integers).
+def one_dim_eigenvalues(m: int, delta: int, counts: SigmaCounts) -> tuple[int, int, int, int]:
+    """Eigenvalues of the four linear characters (integers), from the parity counts alone.
 
     The first is the degree |S|; the third and fourth depend on the parity
     of m because the character tables differ between odd and even m.
     """
-    sc = subset.sigma_counts()
-    delta = subset.delta
-    lam1 = subset.size
-    lam2 = subset.size_x - subset.size_y
-    if subset.m % 2 == 1:
-        lam3 = lam4 = 2 * (sc.x_even - sc.x_odd) - delta
+    size_x, size_y = 2 * (counts.x_even + counts.x_odd) + delta, 2 * (counts.y_even + counts.y_odd)
+    lam1, lam2 = size_x + size_y, size_x - size_y
+    if m % 2 == 1:
+        lam3 = lam4 = 2 * (counts.x_even - counts.x_odd) - delta
     else:
-        base = 2 * (sc.x_even - sc.x_odd) + delta
-        lam3 = base + 2 * (sc.y_even - sc.y_odd)
-        lam4 = base - 2 * (sc.y_even - sc.y_odd)
+        base = 2 * (counts.x_even - counts.x_odd) + delta
+        lam3 = base + 2 * (counts.y_even - counts.y_odd)
+        lam4 = base - 2 * (counts.y_even - counts.y_odd)
     return lam1, lam2, lam3, lam4
 
 
@@ -136,7 +134,7 @@ def _values(xp, subset: CayleySubset) -> list:
 
     2m + 2 values: the spectrum as a set, each block value having multiplicity 2.
     """
-    vals = list(one_dim_eigenvalues(subset))
+    vals = list(one_dim_eigenvalues(subset.m, subset.delta, subset.sigma_counts()))
     blocks = (subset.m, subset.pair_bits, subset.delta, subset.ypair_bits)
     for j in range(1, subset.m):
         z, w = _block(xp, *blocks, j)
@@ -158,7 +156,7 @@ def _raw_values(subset: CayleySubset) -> tuple[float, ...]:
     pairs, ypairs = ([np.fromiter(b, float, len(b))] for b in (subset.pair_bits, subset.ypair_bits))
     width = 2 * max(1, BLOCK_ENTRIES // max(len(subset.pair_bits), len(subset.ypair_bits), 1))
     vals = np.empty(2 * m + 2)
-    vals[:4] = one_dim_eigenvalues(subset)
+    vals[:4] = one_dim_eigenvalues(m, subset.delta, subset.sigma_counts())
     for first in (1, 2):
         for lo in range(first, m, width):
             hi = min(lo + width, m)
@@ -235,9 +233,9 @@ def at_or_below(margin: float, scale: float, exact_margin) -> bool:
         return bool(exact_margin() <= mpmath.mp.eps * scale)
 
 
-def sums_error_scale(subset: CayleySubset) -> float:
-    """EPS times this bounds the error of a double eigenvalue or margin of subset (see `at_or_below`)."""
-    return subset.size * (2 * math.pi * subset.m + 4)
+def sums_error_scale(m: int, size: int) -> float:
+    """EPS times this bounds the error of a double eigenvalue or margin of S in Q_{4m} at |S| = size (`at_or_below`)."""
+    return size * (2 * math.pi * m + 4)
 
 
 def _margin_mp(subset: CayleySubset):
@@ -254,4 +252,4 @@ def is_ramanujan(subset: CayleySubset) -> bool:
     genuinely tight, so near-ties are settled on the same sums in mpmath.
     """
     margin = lambda_max_nontrivial(subset) - ramanujan_bound(subset)
-    return at_or_below(margin, sums_error_scale(subset), lambda: _margin_mp(subset))
+    return at_or_below(margin, sums_error_scale(subset.m, subset.size), lambda: _margin_mp(subset))

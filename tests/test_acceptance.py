@@ -352,7 +352,7 @@ def _attainment_failures(m):
     for l in range(1, 4 * m):
         for s in enumerate_family(m, l, "s"):
             pr = s.profile()
-            lam3 = abs(one_dim_eigenvalues(s)[2])
+            lam3 = abs(one_dim_eigenvalues(s.m, s.delta, s.sigma_counts())[2])
             sc = s.sigma_counts()
             rec = by_profile.setdefault((pr.l1, pr.l2), [None, set()])
             if rec[0] is None or lam3 > rec[0]:

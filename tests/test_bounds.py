@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import sys
@@ -21,7 +22,7 @@ from rqgraph.dense import oracle_max_delta
 from rqgraph.group import generates_fast
 from rqgraph.spectra import at_or_below, is_ramanujan, lambda_max_nontrivial, ramanujan_bound
 from rqgraph.subsets import (
-    CayleySubset,
+    SigmaCounts,
     covalency_splits,
     enumerate_family,
     extremal_subset,
@@ -96,7 +97,8 @@ def _check_split_worst(m, l1, l2, worst, split):
     lam = max(lambda_max_nontrivial(s) for s in split)
     if l1 + l2 <= 2 * m:
         assert worst.ramanujan == ramanujan, (m, l1, l2)
-        assert abs(worst.lam - lam) <= sys.float_info.epsilon * spectra.sums_error_scale(split[0]), (m, l1, l2)
+        scale = spectra.sums_error_scale(split[0].m, split[0].size)
+        assert abs(worst.lam - lam) <= sys.float_info.epsilon * scale, (m, l1, l2)
     else:
         assert ramanujan or not worst.ramanujan, (m, l1, l2)
         assert worst.lam >= lam - 1e-9, (m, l1, l2)
@@ -138,6 +140,21 @@ def test_split_worst_matches_per_subset_route(monkeypatch):
     assert kernel_escalations > 0    # split_worst's mpmath path ran
 
 
+def test_split_worst_is_pinned_to_the_bit():
+    """Every s split's `split_worst` at m = 1..16, l = 1..4m - 1, in `covalency_splits` order,
+    as "-" for None or lam.hex():ramanujan, hashes as when the digest was recorded: a change
+    in the last bit of any lam, or in any verdict, shows here."""
+    entries = []
+    for m in range(1, 17):
+        for l in range(1, 4 * m):
+            for l1, l2 in covalency_splits(m, l, "s"):
+                worst = split_worst(m, l1, l2)
+                entries.append("-" if worst is None else f"{worst.lam.hex()}:{int(worst.ramanujan)}")
+    assert len(entries) == 2992
+    digest = hashlib.sha256(",".join(entries).encode()).hexdigest()
+    assert digest == "2893a7708f3d9b2b632b905cab1a4ea00687098d68eb69b00c315074520ab92b"
+
+
 def test_split_worst_near_ties_are_sound(monkeypatch):
     """With spectra.EPS at 0.05, split_worst's mpmath margin decides 168 of the 172 splits.
 
@@ -176,14 +193,14 @@ def test_exact_ties_sit_well_inside_both_error_scales(monkeypatch):
         return at_or_below(margin, scale, exact)
 
     monkeypatch.setattr(spectra, "at_or_below", recording)
-    extremes, near = bounds._extremes, []
+    peak, near = bounds._peak, []
 
-    def counting(xp, m, j):
+    def counting(xp, m, *args):
         if xp is mpmath:
             near.append(m)
-        return extremes(xp, m, j)
+        return peak(xp, m, *args)
 
-    monkeypatch.setattr(bounds, "_extremes", counting)
+    monkeypatch.setattr(bounds, "_peak", counting)
     for family in ("s", "sprime"):
         for m in range(1, bounds.EXACT_SCAN_MAX_M + 1):
             exact_safe_covalency(m, family)
@@ -198,22 +215,17 @@ def test_exact_ties_sit_well_inside_both_error_scales(monkeypatch):
 def test_split_worst_near_classes_span_twice_the_error_scale(monkeypatch):
     """Two classes whose double peaks differ by 1.5 EPS * scale, each within EPS * scale
     of its exact value: the lower one holds the exact maximum, above the bound, and the
-    verdict follows it.  A width of EPS * scale would re-evaluate the higher class only."""
+    verdict follows it.  A width of EPS * scale would re-evaluate the higher class only.
+    The other classes of m = 9, j = 3 and 6, peak at 0, far below both."""
     m, l1, l2 = 9, 4, 6
-    delta, n_pairs, n_ypairs = split_sizes(m, l1, l2)
     size = 4 * m - l1 - l2
-    unit = spectra.EPS * spectra.sums_error_scale(CayleySubset(m, range(1, n_pairs + 1), delta, range(n_ypairs)))
+    unit = spectra.EPS * spectra.sums_error_scale(m, size)
     bound = 2.0 * math.sqrt(size - 1)
-
-    def table(peak):
-        return {delta: {n_pairs: peak}}, {n_ypairs: 0 * peak}
-
-    doubles = {1: table(bound + 0.7 * unit), 2: table(bound - 0.8 * unit)}
+    doubles = {1: bound + 0.7 * unit, 2: bound - 0.8 * unit}
     with mpmath.workdps(50):
         exact_bound = 2 * mpmath.sqrt(size - 1)
-        exacts = {1: table(exact_bound - mpmath.mpf("1e-30")), 2: table(exact_bound + mpmath.mpf("1e-30"))}
-    monkeypatch.setattr(bounds, "_double_extremes", lambda m: doubles)
-    monkeypatch.setattr(bounds, "_extremes", lambda xp, m, j: exacts[j])
+        exacts = {1: exact_bound - mpmath.mpf("1e-30"), 2: exact_bound + mpmath.mpf("1e-30")}
+    monkeypatch.setattr(bounds, "_peak", lambda xp, m, j, *sizes: (exacts if xp is mpmath else doubles).get(j, 0.0))
     worst = split_worst(m, l1, l2)
     assert worst == bounds.SplitWorst(bound + 0.7 * unit, False)
 
@@ -255,45 +267,51 @@ def test_exact_safe_covalency_refuses_a_first_unsafe_split_above_2m(monkeypatch)
 
 
 def _every_even_count(indices, n):
-    """One n-element subset of indices per feasible count of even members."""
+    """Every feasible count of even members of an n-element subset of indices."""
     evens, odds = [k for k in indices if k % 2 == 0], [k for k in indices if k % 2]
-    return [frozenset(evens[:e] + odds[:n - e]) for e in range(len(evens) + 1) if 0 <= n - e <= len(odds)]
+    return [e for e in range(len(evens) + 1) if 0 <= n - e <= len(odds)]
 
 
-def _one_dim_peak(m, l1, l2, by_even_count):
-    """Largest one-dim |v| below |S| over the sets by_even_count gives, and whether it is Ramanujan."""
+def _one_dim_peak(m, l1, l2, even_counts):
+    """Largest one-dim |v| below |S| over the counts even_counts gives, and whether it is Ramanujan."""
     delta, n_pairs, n_ypairs = split_sizes(m, l1, l2)
     size = 4 * m - l1 - l2
-    sets = [CayleySubset(m, p, delta, y)
-            for p in by_even_count(range(1, m), n_pairs) for y in by_even_count(range(m), n_ypairs)]
-    top = max((abs(v) for s in sets for v in spectra.one_dim_eigenvalues(s) if abs(v) != size), default=0)
+    counts = [SigmaCounts(e, n_pairs - e, f, n_ypairs - f)
+              for e in even_counts(range(1, m), n_pairs) for f in even_counts(range(m), n_ypairs)]
+    top = max((abs(v) for c in counts for v in spectra.one_dim_eigenvalues(m, delta, c) if abs(v) != size), default=0)
     return top, top * top <= 4 * (size - 1)
 
 
 def test_one_dim_values_come_from_the_end_even_counts():
-    """`_by_even_count`'s end counts give the one-dim peak and verdict of every count, s splits at m <= 12.
+    """`_even_counts`' end counts give the one-dim peak and verdict of every count, s splits at m <= 12.
 
     The corners of the count box alone do not: at m = 8, split (10, 8), they
     give 2 where all counts give 10, which is not Ramanujan.
     """
-    for by_even_count in (_every_even_count, bounds._by_even_count):
-        assert _one_dim_peak(8, 10, 8, by_even_count) == (10, False)
+    for even_counts in (_every_even_count, bounds._even_counts):
+        assert _one_dim_peak(8, 10, 8, even_counts) == (10, False)
     for m in range(1, 13):
         for l in range(1, 4 * m):
             for l1, l2 in covalency_splits(m, l, "s"):
                 want = _one_dim_peak(m, l1, l2, _every_even_count)
-                assert _one_dim_peak(m, l1, l2, bounds._by_even_count) == want, (m, l1, l2)
+                assert _one_dim_peak(m, l1, l2, bounds._even_counts) == want, (m, l1, l2)
 
 
 def _best_window_arcs(xp, m, j):
     """Twice the largest |sum| of e^(i pi j k / m) over the m circular windows of each size n = 0..m."""
     ring = 2 * sorted(range(m), key=lambda k: j * k % (2 * m))
     re, im = [xp.cos(xp.pi * j * k / m) for k in ring], [xp.sin(xp.pi * j * k / m) for k in ring]
-    return [max(2 * xp.hypot(xp.fsum(re[i:i + n]), xp.fsum(im[i:i + n])) for i in range(m)) for n in range(m + 1)]
+    x, y = [xp.fsum(re[:i]) for i in range(2 * m + 1)], [xp.fsum(im[:i]) for i in range(2 * m + 1)]    # prefix sums
+    return [max(2 * xp.hypot(x[i + n] - x[i], y[i + n] - y[i]) for i in range(m)) for n in range(m + 1)]
+
+
+def _arcs(xp, m, j):
+    """`_peak` with no pairs and no x^m at every y-pair count n = 0..m: its largest |w_j| over n y-pairs."""
+    return [bounds._peak(xp, m, j, 0, 0, n) for n in range(m + 1)]
 
 
 def test_arcs_are_prefixes_from_angle_0():
-    """`_extremes`' arcs, prefixes of the ring from angle 0, equal the best circular windows.
+    """`_peak`'s arcs, prefixes of the ring from angle 0, equal the best circular windows.
 
     At 50 digits for every even j at m <= 16, in doubles for m <= 40; at m <= 8
     the best window is also the best of all y-pair sets.
@@ -301,11 +319,11 @@ def test_arcs_are_prefixes_from_angle_0():
     with mpmath.workdps(50):
         for m in range(1, 17):
             for j in range(2, m, 2):
-                got, want = bounds._extremes(mpmath, m, j)[1], _best_window_arcs(mpmath, m, j)
+                got, want = _arcs(mpmath, m, j), _best_window_arcs(mpmath, m, j)
                 assert max(abs(a - b) for a, b in zip(got, want)) <= mpmath.mpf("1e-40"), (m, j)
     for m in range(1, 41):
         for j in range(2, m, 2):
-            got, want = bounds._extremes(math, m, j)[1], _best_window_arcs(math, m, j)
+            got, want = _arcs(math, m, j), _best_window_arcs(math, m, j)
             assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12, (m, j)
             if m <= 8:
                 points = [complex(math.cos(math.pi * j * k / m), math.sin(math.pi * j * k / m)) for k in range(m)]
@@ -313,25 +331,37 @@ def test_arcs_are_prefixes_from_angle_0():
                 assert max(abs(a - b) for a, b in zip(best, want)) <= 1e-12, (m, j)
 
 
-def test_extremes_depend_on_j_only_through_its_gcd_class():
-    """`_double_extremes` keeps one j per class gcd(j, 2m), and every j's tables equal its class's.
+def test_extremes_depend_on_j_only_through_its_gcd_class(monkeypatch):
+    """`split_worst` evaluates one j per class gcd(j, 2m), and every j's peaks equal its class's.
 
-    Entry by entry within 1e-12 in doubles for m <= 40, and within 1e-40 at
-    50 digits for m <= 16.
+    At every pair count without x^m, every pair count with x^m and every
+    y-pair count (the last two step together): within 1e-12 in doubles for
+    m <= 40, and within 1e-40 at 50 digits for m <= 16.
     """
-    def gap(xp, m, j):
-        a, b = bounds._extremes(xp, m, j), bounds._extremes(xp, m, math.gcd(j, 2 * m))
-        rows = [*zip(a[0], b[0]), (a[1], b[1])]
-        return max((abs(x - y) for r, s in rows for x, y in zip(r, s)), default=0)
+    def peaks(xp, m, j):
+        sizes = [(0, n, 0) for n in range(m)] + [(1, n, n) for n in range(m)] + [(1, m - 1, m)]
+        return [bounds._peak(xp, m, j, *z) for z in sizes]
+
+    def gap(xp, m):
+        classes = {g: peaks(xp, m, g) for g in range(1, m) if 2 * m % g == 0}
+        return max((abs(a - b) for j in range(1, m) if 2 * m % j
+                    for a, b in zip(peaks(xp, m, j), classes[math.gcd(j, 2 * m)])), default=0)
 
     for m in range(1, 41):
-        assert set(bounds._double_extremes(m)) == {math.gcd(j, 2 * m) for j in range(1, m)}, m
-        for j in range(1, m):
-            assert gap(math, m, j) <= 1e-12, (m, j)
+        assert gap(math, m) <= 1e-12, m
     with mpmath.workdps(50):
         for m in range(1, 17):
-            for j in range(1, m):
-                assert gap(mpmath, m, j) <= mpmath.mpf("1e-40"), (m, j)
+            assert gap(mpmath, m) <= mpmath.mpf("1e-40"), m
+    peak, seen = bounds._peak, set()
+
+    def recording(xp, m, j, *sizes):
+        seen.add((m, j))
+        return peak(xp, m, j, *sizes)
+
+    monkeypatch.setattr(bounds, "_peak", recording)
+    for m in range(1, 41):
+        split_worst(m, *covalency_splits(m, 2 * m, "s")[0])
+        assert {j for mm, j in seen if mm == m} == {math.gcd(j, 2 * m) for j in range(1, m)}, m
 
 
 def test_extremal_mu2_against_subset_spectrum():

@@ -27,11 +27,16 @@ def _block(s, j, xp=math):
     return spectra._block(xp, s.m, s.pair_bits, s.delta, s.ypair_bits, j)
 
 
+def _one_dim(s):
+    """The four linear eigenvalues of s, from `spectra.one_dim_eigenvalues` on its parity counts."""
+    return one_dim_eigenvalues(s.m, s.delta, s.sigma_counts())
+
+
 def test_one_dim_examples():
-    assert one_dim_eigenvalues(full_subset(3)) == (11, -1, -1, -1)
+    assert _one_dim(full_subset(3)) == (11, -1, -1, -1)
     # complete graph minus a perfect matching on 12 vertices
-    assert one_dim_eigenvalues(COCKTAIL) == (10, -2, 0, 0)
-    assert one_dim_eigenvalues(full_subset(4)) == (15, -1, -1, -1)
+    assert _one_dim(COCKTAIL) == (10, -2, 0, 0)
+    assert _one_dim(full_subset(4)) == (15, -1, -1, -1)
 
 
 def test_one_dim_against_character_sums():
@@ -48,7 +53,7 @@ def test_one_dim_against_character_sums():
             else:
                 lam3 = sum((-1) ** g.k for g in els)
                 lam4 = sum((-1) ** g.k if g.e == 0 else (-1) ** (g.k + 1) for g in els)
-            assert one_dim_eigenvalues(subset) == (lam1, lam2, lam3, lam4), subset.literal()
+            assert _one_dim(subset) == (lam1, lam2, lam3, lam4), subset.literal()
 
 
 def test_two_dim_examples():
@@ -275,7 +280,7 @@ def test_non_ramanujan_witness_at_covalency_l0_plus_1():
     ]
     assert witnesses
     s = witnesses[0]
-    lam2 = one_dim_eigenvalues(s)[1]
+    lam2 = _one_dim(s)[1]
     assert abs(lam2) == 11
     assert abs(lam2) > ramanujan_bound(s)
     assert not is_ramanujan(s)
@@ -318,7 +323,7 @@ def test_character_sum_error_is_under_its_stated_bound():
     m = 500
     for l in (1800, 1950, 1990):
         s = random_subset(m, l, rng, "s")
-        bound = EPS * spectra.sums_error_scale(s)
+        bound = EPS * spectra.sums_error_scale(s.m, s.size)
         with mpmath.workdps(50):
             for j in range(1, m):
                 zf, wf = _block(s, j)
@@ -342,7 +347,7 @@ def test_exact_tie_is_ramanujan():
     assert (s.size, s.covalency()) == (26, 10)
     with mpmath.workdps(50):
         exact = spectra._margin_mp(s)
-        assert 0 < exact <= mpmath.mp.eps * spectra.sums_error_scale(s)
+        assert 0 < exact <= mpmath.mp.eps * spectra.sums_error_scale(s.m, s.size)
     assert is_ramanujan(s)
     dense = np.array(symmetric_eigenvalues(adjacency_matrix(s)))
     interior = dense[np.abs(np.abs(dense) - s.size) > 1e-9]
