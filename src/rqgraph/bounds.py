@@ -123,10 +123,21 @@ def split_worst(m: int, l1: int, l2: int) -> Optional[SplitWorst]:
 
 
 def _even_counts(indices: range, n: int) -> list[int]:
-    """The end counts of even members over the n-element subsets of indices: lo, lo + 1, hi - 1 and hi."""
+    """The end counts lo, hi - 1 and hi of even members over the n-element subsets of indices.
+
+    lo + 1 never decides: lam3 and lam4 step by 4 in the even counts (e, f) of
+    the N pairs and M >= 1 y-pairs, and reach +-|S| only at even m, at the
+    corners (N, M), (N, 0) and, without x^m, (0, 0), (0, M).  Both neighbours
+    of one give |S| - 4, and one is at hi - 1 except at (0, 0).  There, with
+    x^m, N = 0 and lam2 = 1 - 2M is the largest odd |v| < |S|.  Without, all
+    |v| are |S| mod 4; lo = 0 caps N and M at the odd indices, one more than
+    the even ones among 1..m-1 and as many among 0..m-1, so hi >= N - 1 and
+    hi = M, and lam4 at (N - 1, 0), or lam3 at (0, M - 1) if N = 0, is
+    |S| - 4 (if M = 1, lo + 1 is hi).
+    """
     evens = sum(1 for k in indices if k % 2 == 0)
     lo, hi = max(0, n - (len(indices) - evens)), min(n, evens)
-    return sorted(e for e in {lo, lo + 1, hi - 1, hi} if lo <= e <= hi)
+    return sorted(e for e in {lo, hi - 1, hi} if lo <= e <= hi)
 
 
 def _peak(xp, m: int, j: int, delta: int, n_pairs: int, n_ypairs: int):

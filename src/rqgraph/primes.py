@@ -45,9 +45,9 @@ _SMALL_PRIME_PRODUCT = math.prod(_SMALL_PRIMES)
 THRESHOLD_SCAN_HORIZON = 10_000
 
 # Bounds the family sieve's memory: it holds about sqrt(x_max) / 6 values per
-# family (all 54 families peak at 281 MB resident at 10^14).  Its sieving
+# family (all 54 families peak at 271 MB resident at 10^14).  Its sieving
 # primes q <= sqrt(x_max) stay below 2^24, so products of two residues mod q
-# fit in int64 with room to spare.
+# fit in int64, and int32 holds `_roots`' roots and sieve indices.
 X_MAX_LIMIT = 10**14
 
 # The truncation of the pinned Hardy-Littlewood products `_HL_PRODUCTS`: the
@@ -251,7 +251,7 @@ def _odd_primes_from_5(bound: int):
 
 
 def _powmod(base, exp, q):
-    """base^exp mod q elementwise, for int64 arrays with 0 <= exp and q < 2^24."""
+    """base^exp mod q elementwise, for int64 arrays (base may be an int) with 0 <= exp and q < 2^24."""
     result = np.ones_like(q)
     base = base % q
     exp = exp.copy()
@@ -262,46 +262,66 @@ def _powmod(base, exp, q):
     return result
 
 
+def _chi(d: int, q):
+    """The Legendre symbols (d/q), d != 0, over an int64 array of odd primes q.
+
+    By quadratic reciprocity (d/q) depends only on q mod 4|d|, so Euler's
+    criterion runs once per class present, on any one of its primes.  A class
+    holding a q | d holds only that q, and Euler gives 0 there.
+    """
+    cls = q % (4 * abs(d))
+    rep = np.zeros(4 * abs(d), dtype=np.int64)
+    rep[cls] = q
+    present = np.flatnonzero(rep)
+    euler = _powmod(d, rep[present] // 2, rep[present])
+    rep[present] = np.where(euler == rep[present] - 1, -1, euler)
+    return rep.astype(np.int8)[cls]
+
+
 @lru_cache(maxsize=4)
 def _sieve_table(bound: int):
-    """The primes 5 <= q <= bound and what `_sqrt_mod` needs of each.
+    """The primes 5 <= q <= bound and what `_roots` needs of each.
 
-    q, 24^-1 mod q, S and Q with q - 1 = Q 2^S and Q odd, and g = z^Q for
-    the least quadratic non-residue z mod q, so that g has order 2^S.
+    q, 24^-1 mod q, S and Q with q - 1 = Q 2^S and Q odd, and g: where
+    S >= 2, g = z^Q for the least quadratic non-residue z mod q, so that g
+    has order 2^S; where S = 1, which Tonelli-Shanks never reads, g = 1.
     Shared by every family sieved up to the same bound.
     """
     q = _odd_primes_from_5(bound)
-    inv24 = _powmod(np.full_like(q, 24), q - 2, q)
+    inv24 = (1 + q * (-q % 24)) // 24        # as q^2 = 1 (mod 24) for q >= 5
     s_exp = np.log2((q - 1) & (1 - q)).astype(np.int64)
     odd = (q - 1) >> s_exp
-    z = np.zeros_like(q)
-    todo = np.arange(q.size)
-    a = 2
+    two = np.flatnonzero(s_exp >= 2)
+    z, todo, a = np.zeros_like(two), np.arange(two.size), 2
     while todo.size:
-        qt = q[todo]
-        found = _powmod(np.full_like(qt, a), (qt - 1) // 2, qt) == qt - 1
+        found = _chi(a, q[two[todo]]) == -1
         z[todo[found]] = a
-        todo = todo[~found]
-        a += 1
-    return q, inv24, s_exp, odd, _powmod(z, odd, q)
+        todo, a = todo[~found], a + 1
+    g = np.ones_like(q)
+    g[two] = _powmod(z, odd[two], q[two])
+    return q, inv24, s_exp, odd, g
 
 
 @lru_cache(maxsize=32)
-def _sqrt_mod(d: int, bound: int):
-    """s with s^2 = d (mod q) for each sieving prime q, and -1 where d is a non-residue.
+def _roots(d: int, bound: int):
+    """The square roots s of d mod each sieving prime q, as int32 (index of q in `_sieve_table`, s 24^-1 mod q).
 
-    Tonelli-Shanks over all q at once.  x = d^((Q+1)/2) and t = d^Q keep
-    x^2 = d t.  At each i = S-2, ..., 0 where t^(2^i) = -1, x is multiplied
-    by h = g^(2^(S-2-i)), of order 2^(i+2), and t by h^2, which halves the
-    order of t, so t ends at 1.  For a non-residue d no x has x^2 = d, and
-    the x left over fails that check.
+    Two roots +-s where (d/q) = 1, the one root 0 where q | d, none where
+    (d/q) = -1.  Tonelli-Shanks runs over the residues only.  x = d^((Q+1)/2)
+    and t = d^Q keep x^2 = d t.  At each i = S-2, ..., 0 where t^(2^i) = -1,
+    x is multiplied by h = g^(2^(S-2-i)), of order 2^(i+2), and t by h^2,
+    which halves the order of t, so t ends at 1 and x^2 = d.
     """
-    q, _, s_exp, odd, g = _sieve_table(bound)
+    q_all, inv24, s_exp, odd, g = _sieve_table(bound)
+    chi = _chi(d, q_all)
+    res, zero = np.flatnonzero(chi == 1), np.flatnonzero(chi == 0)
+    roots = np.zeros((2, 2 * res.size + zero.size), np.int32)     # the roots +s, then -s, then 0
+    np.concatenate([res, res, zero], out=roots[0])
+    q, s_exp, h = q_all[res], s_exp[res], g[res]
     a = d % q
-    y = _powmod(a, (odd - 1) // 2, q)
+    y = _powmod(a, (odd[res] - 1) // 2, q)
     x = y * a % q
     t = x * y % q
-    h = g.copy()
     for i in range(int(s_exp.max(initial=0)) - 2, -1, -1):
         live = np.flatnonzero(s_exp >= i + 2)
         ql, tl, hl = q[live], t[live], h[live]
@@ -312,8 +332,9 @@ def _sqrt_mod(d: int, bound: int):
         x[live] = np.where(flip, x[live] * hl % ql, x[live])
         t[live] = np.where(flip, tl * hl % ql * hl % ql, tl)
         h[live] = hl * hl % ql
-    x[x * x % q != a] = -1
-    return x
+    roots[1, : res.size] = x * inv24[res] % q
+    roots[1, res.size : 2 * res.size] = q - roots[1, : res.size]
+    return roots
 
 
 def _sieve_family(fam: PrimeFamily, k_min: int, x_max: int):
@@ -336,12 +357,10 @@ def _sieve_family(fam: PrimeFamily, k_min: int, x_max: int):
     prime = (values >= 2) & ((values % 2 == 1) | (values == 2))
     bound = math.isqrt(x_max)
     q, inv24 = _sieve_table(bound)[:2]
-    s = _sqrt_mod(fam.reduced_discriminant, bound)
-    one, two = s >= 0, s > 0        # q has a root; q has a second, distinct root
-    q = np.concatenate([q[one], q[two]])
-    roots = np.concatenate([(s[one] - r3) * inv24[one], (-s[two] - r3) * inv24[two]]) % q
-    # every hit k_min + offset, offset = (root - k_min) mod q + j q, below n_k
-    offset = (roots - k_min) % q
+    idx, u = _roots(fam.reduced_discriminant, bound)
+    q = q[idx]
+    # every hit k_min + offset, offset = (u - (r+3) 24^-1 - k_min) mod q + j q, below n_k
+    offset = (u - (r3 * inv24[idx] + k_min)) % q
     hits_per_root = np.maximum(0, (n_k - 1 - offset) // q + 1)
     first = np.cumsum(hits_per_root) - hits_per_root
     step = np.repeat(q, hits_per_root)

@@ -1,5 +1,6 @@
 import bisect
 import functools
+import itertools
 import math
 import random
 
@@ -376,6 +377,48 @@ def test_family_sieve_matches_miller_rabin():
             rep = family_primes(fam.r, fam.c, x_max, k_min=k_min)
             got = (rep.first_primes, rep.count, rep.window_mismatches)
             assert got == _family_primes_by_loop(fam.r, fam.c, x_max, k_min), (fam, x_max, k_min)
+
+
+FAMILY_DISCRIMINANTS = sorted({fam.reduced_discriminant for fam in all_families()})
+TABLE2_BOUND = math.isqrt(3 * 10**9)      # the sieving primes of table2 --xmax 3000000000
+
+
+def test_chi_is_the_legendre_symbol():
+    """`_chi` against `_jacobi` at every sieving prime up to 54,772, for the family discriminants and a = 2..70."""
+    q = primes._odd_primes_from_5(TABLE2_BOUND)
+    plain = q.tolist()
+    for d in [*FAMILY_DISCRIMINANTS, *range(2, 71)]:
+        assert primes._chi(d, q).tolist() == [_jacobi(d, u) for u in plain], d
+
+
+def test_sieve_table_holds_inverse_split_and_generator():
+    """For every q <= 10^6: 24^-1, q - 1 = Q 2^S with Q odd, and g = z^Q of order 2^S where S >= 2, else 1.
+
+    z is the least a with (a/q) = -1, by `_jacobi`; Tonelli-Shanks reads g only where S >= 2.
+    """
+    q, inv24, s_exp, odd, g = primes._sieve_table(10**6)
+    assert ((0 < inv24) & (inv24 < q) & (24 * inv24 % q == 1)).all()
+    assert ((odd % 2 == 1) & (odd << s_exp == q - 1)).all()
+    assert (g[s_exp == 1] == 1).all()
+    for u, big_s, big_q, gen in zip(*(a[s_exp >= 2].tolist() for a in (q, s_exp, odd, g))):
+        z = next(a for a in itertools.count(2) if _jacobi(a, u) == -1)
+        assert gen == pow(z, big_q, u) and pow(gen, 1 << (big_s - 1), u) == u - 1, u
+
+
+def test_roots_are_the_square_roots_of_each_discriminant():
+    """Each root s = 24 u mod q has s^2 = d (mod q), no root repeats, and q has 1 + (d/q) of them by `_jacobi`."""
+    for bound in (TABLE2_BOUND, 10**6):
+        q_all = primes._sieve_table(bound)[0]
+        for d in FAMILY_DISCRIMINANTS:
+            idx, u = primes._roots(d, bound)
+            assert idx.dtype == u.dtype == np.int32, d
+            q = q_all[idx]
+            s = 24 * u.astype(np.int64) % q
+            assert (s * s % q == d % q).all(), (d, bound)
+            assert len(set(zip(idx.tolist(), u.tolist()))) == idx.size, (d, bound)
+            if bound == TABLE2_BOUND:
+                counts = np.bincount(idx, minlength=q_all.size).tolist()
+                assert counts == [1 + _jacobi(d, p) for p in q_all.tolist()], d
 
 
 def test_scan_families_rejects_bad_input_before_starting_workers(monkeypatch):
