@@ -149,6 +149,8 @@ def test_cli_bad_input_is_a_clean_error(capsys):
         ["table2", "--rows", "9,7", "--xmax", str(10**14 + 1)],    # above the sieve's limit
         ["table2", "--rows", "9"],
         ["table2", "--rows", "9,7,1"],
+        ["table2", "--rows", "0,-3"],           # c not admissible for r
+        ["table2", "--rows=24,1"],              # r outside [0, 23]
         ["lbound", "--m", "21", "--exact"],     # above EXACT_SCAN_MAX_M
         ["lbound", "--m", "-3", "--exact"],
     ):
@@ -159,6 +161,8 @@ def test_cli_bad_input_is_a_clean_error(capsys):
         errors.append(json.loads(captured.err)["error"])
     assert "all eigenvalues have magnitude |S|; no non-trivial eigenvalue" in errors
     assert "p must be an odd prime, got -7" in errors
+    assert "c=-3 is not an admissible constant for r=0" in errors
+    assert "r must be in [0, 23], got 24" in errors
 
 
 def test_table2_rejects_bad_input_before_scanning(capsys, monkeypatch, tmp_path):

@@ -1,5 +1,6 @@
 import bisect
 import functools
+import hashlib
 import itertools
 import math
 import random
@@ -8,8 +9,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from rqgraph import primes
-from rqgraph.bounds import _gap_at_mp, gap_error_scale, trivial_bound
+from rqgraph import cli, primes
+from rqgraph.bounds import _gap_at_mp, gap_error_scale, is_exceptional_spectral, trivial_bound
 from rqgraph.spectra import EPS, at_or_below
 from rqgraph.primes import (
     THRESHOLD_SCAN_HORIZON,
@@ -224,6 +225,42 @@ def test_derive_k_threshold_matches_per_k_loop():
     assert len(families) == 54
     for r, c in families:
         assert derive_k_threshold(r, c) == _threshold_by_loop(r, c), (r, c)
+
+
+def _admissible():
+    """The 54 admissible (r, c), in (r, c) order, from `candidate_constants`."""
+    return [(r, c) for r in range(24) for c in candidate_constants(r)[1]]
+
+
+def test_threshold_table_is_the_derivation():
+    """`_K_THRESHOLDS` holds every admissible (r, c), in (r, c) order, with its derived threshold."""
+    assert list(primes._K_THRESHOLDS) == _admissible()
+    for r, c in _admissible():
+        assert primes._K_THRESHOLDS[(r, c)] == derive_k_threshold(r, c), (r, c)
+
+
+def test_runtime_derives_no_threshold(monkeypatch, capsys):
+    """table2, the arithmetic route and the densities read the pinned thresholds:
+    with the derivation and the gap refused, from an empty family cache, table2's
+    CSV keeps its digest and both classification routes still agree."""
+
+    def refuse(*args):
+        raise AssertionError(f"threshold derived at run time: {args}")
+
+    family.cache_clear()
+    monkeypatch.setattr(primes, "derive_k_threshold", refuse)
+    monkeypatch.setattr(primes, "_gap", refuse)
+    try:
+        assert cli.main(["table2", "--xmax", "3000000000"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "5b6671dd3ac7f205425eb941014591b208869772425b18f0b2c7bc764f87c6ab"
+        for p in filter(is_prime, range(67, 5001)):
+            assert is_exceptional_arithmetic(p).exceptional == is_exceptional_spectral(p).exceptional, p
+        for r, c in _admissible():
+            want = primes._HL_PRODUCTS[(r + 3) ** 2 - 16 * c] / density_divisor(r)
+            assert hardy_littlewood_density(r, c) == want, (r, c)
+    finally:
+        family.cache_clear()
 
 
 def _fake_gap(values):
