@@ -113,24 +113,70 @@ def _extremal(p):
     return subsets.extremal_subset(p, split.l1, split.l2).literal()
 
 
-@pytest.mark.parametrize("argv, sha256", [
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+
+@pytest.mark.parametrize("argv, code, out_sha256, err_sha256", [
     # below spectra.MIN_BLOCK_ANGLES: one frequency at a time
-    (["--subset", "m=12;pairs=1,5,7;delta=1;ypairs=0,3,11"],
-     "9a5931efaf1c0b376abdef886499cd22ef082d27c1f0d2e08ca9c47672d27fc8"),
-    (["--subset", full_subset(40).literal()],
-     "96e5ec77e587ab07d0455c0a15468a8ed227b708f2b1c8cae8351ad701d0fafa"),
+    (["spectrum", "--subset", "m=12;pairs=1,5,7;delta=1;ypairs=0,3,11"], 0,
+     "9a5931efaf1c0b376abdef886499cd22ef082d27c1f0d2e08ca9c47672d27fc8", EMPTY),
+    (["spectrum", "--subset", full_subset(40).literal()], 0,
+     "96e5ec77e587ab07d0455c0a15468a8ed227b708f2b1c8cae8351ad701d0fafa", EMPTY),
     # many blocks of frequencies; np.hypot in place of math.hypot changes p = 547's bytes
-    (["--subset", _extremal(503)],
-     "d70fb1f7a9acd58393af0a4239439d6423dd2de81e40f826deba491d34374d1e"),
-    (["--subset", _extremal(547), "--csv"],
-     "e9ad13d64b6de541a05307741405803015145f517cafc078cf7db2319dde9840"),
-], ids=["m12", "full40", "p503", "p547-csv"])
-def test_spectrum_stdout_is_pinned(capsys, argv, sha256):
-    """`rqgraph spectrum` prints the same bytes as when these digests were
-    recorded: a change in the last bit of any eigenvalue shows here."""
-    code, out = run(capsys, ["spectrum", *argv])
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+    (["spectrum", "--subset", _extremal(503)], 0,
+     "d70fb1f7a9acd58393af0a4239439d6423dd2de81e40f826deba491d34374d1e", EMPTY),
+    (["spectrum", "--subset", _extremal(547), "--csv"], 0,
+     "e9ad13d64b6de541a05307741405803015145f517cafc078cf7db2319dde9840", EMPTY),
+    (["spectrum", "--oracle", "--subset", "m=4;pairs=1,2,3;delta=1;ypairs=0,1,2,3"], 0,
+     "46bafa3d73fcfa13e5463e129c15db550fcfb2717e43c65821c6f282a80cbba8", EMPTY),
+    (["spectrum", "--oracle", "--csv", "--subset", "m=5;pairs=1,3;delta=1;ypairs=0,2,4"], 0,
+     "8df9a88dea946cbfb15588c9683032b41a8e2335ecb3fad4b30e674978dd1ecb", EMPTY),
+    (["lbound", "--m", "5", "--family", "sprime", "--exact"], 0,
+     "a783171e97ef2855791778b2df7e266d98798a432c0eff4a329f5522a74fac97", EMPTY),
+    (["lbound", "--m", "63"], 0,
+     "6951b0060cdab5d1200cdd3087e6c63a28bade85f3c6c73af1d1ae1bc34e2e46", EMPTY),
+    (["lbound", "--m", "21", "--exact"], 2,
+     EMPTY, "f390bfcbe26a2142fcd4031622f0301d94d67c1d5eddbcd144b96941e7f805fd"),
+    (["exceptional", "--p", "67"], 0,
+     "99195bfbe9a97d7838ce61f00101bcf73b80c120ef21357b26f8c4fa1e6d27ee", EMPTY),
+    (["exceptional", "--p", "73", "--method", "spectral"], 0,
+     "ce302b9ee1e0ccfdf93ab1f7faebebc7306678328b35083c1436bc3ab9cf61bd", EMPTY),
+    (["exceptional", "--p", "1997", "--method", "arithmetic"], 0,
+     "69e8ced22f39af315c451b6c7bc7d5d79a61607579a0cfa9b632ef049788a02f", EMPTY),
+    (["exceptional", "--p", "61"], 0,
+     "b03528188b6c68fcd6a432a9f673342c7fae8de7d712414ae742da7c6c62afc2", EMPTY),
+    (["exceptional", "--p", "91"], 2,
+     EMPTY, "5419328ca1ee7d4cd58e672dd9cd054ac31c7400e5ff42c75faffd2fe50d5746"),
+    # the benchmark's table2 job: perfbench/golden.json's csv_sha256
+    (["table2", "--xmax", "3000000000"], 0,
+     "5b6671dd3ac7f205425eb941014591b208869772425b18f0b2c7bc764f87c6ab", EMPTY),
+    # its `prime_bound` parameter and the row's density included
+    (["table2", "--rows", "9,7", "--xmax", "20000", "--json"], 0,
+     "7ea3fa91d8b6b1cb3a0bf377f71a706328d34319f5e9ed2f3ec8e656d9b386a7", EMPTY),
+    (["table2", "--rows", "9,7", "--xmax", "1000000000000", "--json"], 0,
+     "4c47c780c8d72e28029d0be0faaa40a9326b24dd65fa02558705f3b24f1ead0d", EMPTY),
+    # a fixture diff: failures as one JSON line on stderr, or in the envelope
+    (["table2", "--rows", "0,-5", "--fixture", "tests/data/table2.csv"], 1,
+     "fc98cb74db6a297ce53c696b5848ec1af545fcf1e5eb5d8476ab6d7de0d42f87",
+     "b95fafcd52330ddb3a7f2c766967a55b1cd160f55b18c6caedbfaed642f9f8e4"),
+    (["table2", "--rows", "0,-5", "--fixture", "tests/data/table2.csv", "--json"], 1,
+     "bb29c7ef382fbe6877f1f97bd93758b564f8711c21b84740564506d45767f745", EMPTY),
+], ids=["m12", "full40", "p503", "p547-csv", "oracle", "oracle-csv",
+        "lbound-sprime5", "lbound-63", "lbound-21-error",
+        "exceptional-67", "exceptional-73-spectral", "exceptional-1997-arithmetic",
+        "exceptional-61-scope", "exceptional-91-error",
+        "table2-3e9", "table2-97-json", "table2-97-1e12-json",
+        "table2-fixture-csv", "table2-fixture-json"])
+def test_stdout_is_pinned(capsys, monkeypatch, argv, code, out_sha256, err_sha256):
+    """Every subcommand prints the same bytes, on stdout and stderr, and exits
+    with the same code as when these digests were recorded: a change in the
+    last bit of any eigenvalue shows here.  The fixture path is relative to
+    the repository root, as the JSON envelope echoes it."""
+    monkeypatch.chdir(DATA_DIR.parents[1])
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == out_sha256
+    assert hashlib.sha256(captured.err.encode()).hexdigest() == err_sha256
 
 
 def test_cli_bad_input_is_a_clean_error(capsys):
@@ -338,15 +384,6 @@ def test_table2_single_row_csv(capsys):
     cells = lines[1].split(",")
     assert cells[:3] == ["9", "7", "1"]
     assert cells[3:8] == ["79", "223", "439", "727", "1087"]
-
-
-def test_table2_json_stdout_is_pinned(capsys):
-    """`rqgraph table2 --json` prints the same bytes as when this digest was
-    recorded, its `prime_bound` parameter and the row's density included."""
-    code, out = run(capsys, ["table2", "--rows", "9,7", "--xmax", "20000", "--json"])
-    assert code == 0
-    assert json.loads(out)["parameters"]["prime_bound"] == 10**7
-    assert hashlib.sha256(out.encode()).hexdigest() == "7ea3fa91d8b6b1cb3a0bf377f71a706328d34319f5e9ed2f3ec8e656d9b386a7"
 
 
 def test_table2_fixture_diff_clean_row(capsys):
