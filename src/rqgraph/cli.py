@@ -1,12 +1,14 @@
 """Command-line frontend: JSON/CSV reports for spectra, bounds, and prime scans.
 
-Reports are deterministic: fixed key order, floats printed with 15
-significant digits, no timestamps.  Exit code 0 means every requested check
-passed; any failure yields exit code 1 and a machine-readable failure list:
-under `failures` in the JSON payload, or in CSV mode as one JSON line on
-stderr.  `lbound --exact` requests no check: its
-`matches_trivial_bound` is data, and a mismatch (sprime at m = 5 gives 8
-against l0 = 6) still exits 0.
+Each `cmd_*` writes nothing: it returns `(parameters, results, table)`, with
+`table` = `(rows, fieldnames)` when CSV was asked for, else None.  `main`
+alone writes the report and sets the exit code.  Reports are deterministic:
+fixed key order, floats printed with 15 significant digits, no timestamps.
+Exit code 0 means every requested check passed; a non-empty
+`results["failures"]` gives exit code 1, the list shown under `failures` in
+the JSON payload, or in CSV mode as one JSON line on stderr.  `lbound
+--exact` requests no check: its `matches_trivial_bound` is data, and a
+mismatch (sprime at m = 5 gives 8 against l0 = 6) still exits 0.
 """
 
 from __future__ import annotations
@@ -21,32 +23,15 @@ from . import __version__, bounds, dense, primes, spectra
 from .subsets import parse_subset_literal
 
 
-def _round15(x: float) -> float:
-    return float(f"{x:.15g}")
-
-
 def _normalize(obj):
     """Round every float to 15 significant digits, recursively."""
     if isinstance(obj, float):
-        return _round15(obj)
+        return float(f"{obj:.15g}")
     if isinstance(obj, dict):
         return {k: _normalize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_normalize(v) for v in obj]
     return obj
-
-
-def _envelope(command: str, parameters: dict, results: dict) -> dict:
-    return {
-        "command": command,
-        "parameters": _normalize(parameters),
-        "results": _normalize(results),
-        "tool_version": __version__,
-    }
-
-
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
 
 
 def _emit_csv(rows: list[dict], fieldnames: list[str], failures: list[dict]) -> None:
@@ -68,7 +53,7 @@ def _format_cell(v) -> str:
 # -- spectrum ------------------------------------------------------------------
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> tuple[dict, dict, tuple | None]:
     subset = parse_subset_literal(args.subset)
     results = {
         "m": subset.m,
@@ -89,34 +74,27 @@ def cmd_spectrum(args) -> int:
         if not results["oracle_agrees"]:
             failures.append({"check": "oracle_agreement", "max_delta": delta})
     results["failures"] = failures
-    if args.csv:
-        _emit_csv(results["entries"], ["value", "multiplicity"], failures)
-    else:
-        _emit_json(_envelope("spectrum", {"subset": args.subset, "oracle": bool(args.oracle)}, results))
-    return 1 if failures else 0
+    table = (results["entries"], ["value", "multiplicity"]) if args.csv else None
+    return {"subset": args.subset, "oracle": bool(args.oracle)}, results, table
 
 
 # -- lbound --------------------------------------------------------------------
 
 
-def cmd_lbound(args) -> int:
+def cmd_lbound(args) -> tuple[dict, dict, tuple | None]:
     results = {"m": args.m, "family": args.family, "trivial_bound": bounds.trivial_bound(args.m)}
     if args.exact:
         results["exact_safe_covalency"] = bounds.exact_safe_covalency(args.m, args.family)
         results["matches_trivial_bound"] = (
             results["exact_safe_covalency"] == results["trivial_bound"]
         )
-    payload = _envelope(
-        "lbound", {"m": args.m, "family": args.family, "exact": bool(args.exact)}, results
-    )
-    _emit_json(payload)
-    return 0
+    return {"m": args.m, "family": args.family, "exact": bool(args.exact)}, results, None
 
 
 # -- exceptional ----------------------------------------------------------------
 
 
-def cmd_exceptional(args) -> int:
+def cmd_exceptional(args) -> tuple[dict, dict, tuple | None]:
     p = args.p
     results: dict = {"p": p}
     failures = []
@@ -137,8 +115,7 @@ def cmd_exceptional(args) -> int:
             if not agree:
                 failures.append({"check": "route_agreement", "p": p})
         results["failures"] = failures
-    _emit_json(_envelope("exceptional", {"p": p, "method": args.method}, results))
-    return 1 if failures else 0
+    return {"p": p, "method": args.method}, results, None
 
 
 # -- table2 ---------------------------------------------------------------------
@@ -167,14 +144,14 @@ def load_fixture(path: str) -> dict[tuple[int, int], dict]:
             key = (int(row["r"]), int(row["c"]))
             out[key] = {
                 "k_threshold": int(row["k_threshold"]),
-                "first_primes": tuple(int(row[f"p{i}"]) for i in range(1, 6)),
+                "first_primes": tuple(int(row[f"p{i}"]) for i in range(1, 6) if row[f"p{i}"]),
                 "count": int(row["count"]),
                 "density": float(row["density"]),
             }
     return out
 
 
-def cmd_table2(args) -> int:
+def cmd_table2(args) -> tuple[dict, dict, tuple | None]:
     rows = _parse_rows(args.rows)
     fixture = load_fixture(args.fixture) if args.fixture else None
     reports = primes.scan_families(args.xmax, rows=rows)
@@ -203,21 +180,14 @@ def cmd_table2(args) -> int:
             }
             if diffs:
                 failures.append({"check": "fixture_diff", "r": fam.r, "c": fam.c, "diffs": diffs})
-    if args.json:
-        payload = _envelope(
-            "table2",
-            {
-                "xmax": args.xmax,
-                "prime_bound": primes.PRIME_BOUND,
-                "rows": args.rows,
-                "fixture": args.fixture,
-            },
-            {"rows": out_rows, "failures": failures},
-        )
-        _emit_json(payload)
-    else:
-        _emit_csv(out_rows, TABLE_FIELDS, failures)
-    return 1 if failures else 0
+    parameters = {
+        "xmax": args.xmax,
+        "prime_bound": primes.PRIME_BOUND,
+        "rows": args.rows,
+        "fixture": args.fixture,
+    }
+    table = None if args.json else (out_rows, TABLE_FIELDS)
+    return parameters, {"rows": out_rows, "failures": failures}, table
 
 
 # -- entry point ----------------------------------------------------------------
@@ -260,12 +230,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        parameters, results, table = args.func(args)
+        failures = results.get("failures")
+        if table is None:
+            envelope = {
+                "command": args.command,
+                "parameters": parameters,
+                "results": results,
+                "tool_version": __version__,
+            }
+            print(json.dumps(_normalize(envelope), sort_keys=True, indent=2))
+        else:
+            _emit_csv(*table, failures)
     except (ValueError, ArithmeticError, OSError) as exc:
         sys.stderr.write(
             json.dumps({"error": str(exc), "command": args.command}, sort_keys=True) + "\n"
         )
         return 2
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

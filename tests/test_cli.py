@@ -409,6 +409,19 @@ def test_table2_fixture_without_the_row_fails(capsys, tmp_path):
     assert json.loads(out)["results"]["failures"] == [{"check": "fixture_row_present", "r": 9, "c": 7}]
 
 
+def test_table2_csv_loads_back_as_its_own_fixture(capsys, tmp_path):
+    """At --xmax 3000 some families have fewer than five primes, so their
+    p4/p5 cells are empty; the fixture reader takes those as absent."""
+    code, out = run(capsys, ["table2", "--xmax", "3000"])
+    assert code == 0
+    assert ",,," in out
+    fixture = tmp_path / "table2.csv"
+    fixture.write_text(out)
+    code = main(["table2", "--xmax", "3000", "--fixture", str(fixture)])
+    captured = capsys.readouterr()
+    assert (code, captured.err, captured.out) == (0, "", out)
+
+
 def test_table2_fixture_diff_discrepant_row(capsys):
     # the recomputed threshold for this family differs from the reference
     # table (see README); the diff must surface it and fail the run
