@@ -155,6 +155,20 @@ def test_split_worst_is_pinned_to_the_bit():
     assert digest == "2893a7708f3d9b2b632b905cab1a4ea00687098d68eb69b00c315074520ab92b"
 
 
+def test_split_worst_verdicts_are_pinned():
+    """The same 2,992 s splits as `test_split_worst_is_pinned_to_the_bit`, as "-" for None
+    or int(ramanujan): the verdicts alone, which a change in lam's last bits leaves alone."""
+    entries = []
+    for m in range(1, 17):
+        for l in range(1, 4 * m):
+            for l1, l2 in covalency_splits(m, l, "s"):
+                worst = split_worst(m, l1, l2)
+                entries.append("-" if worst is None else str(int(worst.ramanujan)))
+    assert len(entries) == 2992
+    digest = hashlib.sha256(",".join(entries).encode()).hexdigest()
+    assert digest == "56a908c57e5541f28ffe00a5ba3a7780857d056e1ee0b8130e91dbad0e243b73"
+
+
 def test_split_worst_near_ties_are_sound(monkeypatch):
     """With spectra.EPS at 0.05, split_worst's mpmath margin decides 168 of the 172 splits.
 
