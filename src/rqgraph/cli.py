@@ -193,6 +193,11 @@ def cmd_table2(args) -> tuple[dict, dict, tuple | None]:
 # -- entry point ----------------------------------------------------------------
 
 
+def _reject(message: str):
+    """Each parser's `error`: raise what argparse rejects, for `main` to report as its one JSON error line."""
+    raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rqgraph",
@@ -224,12 +229,15 @@ def build_parser() -> argparse.ArgumentParser:
     t2.add_argument("--json", action="store_true", help="JSON envelope instead of CSV")
     t2.set_defaults(func=cmd_table2)
 
+    for p in (parser, *sub.choices.values()):
+        p.error = _reject
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = argparse.Namespace(command=None)     # argparse names the subcommand here before parsing its options
     try:
+        build_parser().parse_args(argv, args)
         parameters, results, table = args.func(args)
         failures = results.get("failures")
         if table is None:

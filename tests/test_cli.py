@@ -199,12 +199,19 @@ def test_cli_bad_input_is_a_clean_error(capsys):
         ["table2", "--rows=24,1"],              # r outside [0, 23]
         ["lbound", "--m", "21", "--exact"],     # above EXACT_SCAN_MAX_M
         ["lbound", "--m", "-3", "--exact"],
+        ["exceptional", "--p", "abc"],          # argparse rejects these three
+        ["table2", "--xmax", "1e12"],
+        ["lbound"],
     ):
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2, argv
         assert captured.out == ""
-        errors.append(json.loads(captured.err)["error"])
+        line = json.loads(captured.err)
+        assert line["command"] == argv[0], argv
+        errors.append(line["error"])
+    assert "argument --p: invalid int value: 'abc'" in errors
+    assert "the following arguments are required: --m" in errors
     assert "all eigenvalues have magnitude |S|; no non-trivial eigenvalue" in errors
     assert "p must be an odd prime, got -7" in errors
     assert "c=-3 is not an admissible constant for r=0" in errors
