@@ -409,7 +409,7 @@ def test_peak_equals_the_sorted_order_oracle():
     """`bounds._peak` at every class g and both delta equals the oracle's peak at j = g.
 
     In doubles within the oracle's and the closed form's stated errors at |S| <= 4m (measured:
-    6.5e-18 of EPS * sums_error_scale(m, 4m)): at every (n_pairs, n_ypairs) for m <= 16, and
+    under 0.03 of EPS * sums_error_scale(m, 4m)): at every (n_pairs, n_ypairs) for m <= 16, and
     each count swept with the other at 0 for m <= 60.  At 50 digits within 1e-40, each count
     swept, for m <= 16.
     """
